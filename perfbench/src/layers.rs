@@ -461,6 +461,22 @@ pub struct LayerRun {
     pub chrome: String,
 }
 
+impl LayerRun {
+    /// Take the transport layer's metrics (`net.*`) and the call counts
+    /// of `net`, a traced run of the [`TRANSPORT`](crate::workload::TRANSPORT)
+    /// configuration. The spans and Chrome trace stay this run's own.
+    pub fn absorb_transport(&mut self, net: LayerRun) {
+        self.values.extend(
+            net.values
+                .into_iter()
+                .filter(|(k, _)| k.starts_with("net.")),
+        );
+        self.attempted += net.attempted;
+        self.failed += net.failed;
+        self.traced_calls += net.traced_calls;
+    }
+}
+
 /// Time `f`, gate its solution, and count the attempt.
 fn gated(
     p: &Problem,
@@ -619,13 +635,13 @@ fn chrome_trace(tr: &Tracer, mut events: Vec<TraceEvent>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{workload, NAMES};
+    use crate::workload::{workload, NAMES, TRANSPORT};
 
     /// On a reduced size, every workload's traced calls pass the gate and
     /// their layer spans reconcile to the call's wall time.
     #[test]
     fn layer_spans_reconcile_on_reduced_runs() {
-        for name in NAMES {
+        for name in NAMES.into_iter().chain([TRANSPORT]) {
             let w = workload(name).unwrap().reduced();
             let run = run(&w, 3, 0.0);
             assert!(run.traced_calls >= 2);

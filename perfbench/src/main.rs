@@ -13,6 +13,7 @@
 //! of standard output is the result object; the line before it holds the
 //! run's provenance.
 
+mod affinity;
 mod json;
 mod layers;
 mod metrics;
@@ -28,7 +29,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use stats::{median, quantile};
-use workload::{check, workload, Workload, NAMES};
+use workload::{check, workload, Entry, Workload, NAMES, TRANSPORT};
 
 /// The untraced run is split across this many fresh processes, run one
 /// after another: their first calls give `setup_s`, and taking medians
@@ -40,6 +41,9 @@ const PROCS: usize = 8;
 const SYSTEMS: usize = 5;
 /// Grace beyond its time share before a worker process counts as hung.
 const WORKER_GRACE_S: f64 = 15.0;
+/// Share of `dist_sim`'s traced run spent on its own calls; the rest
+/// traces the transport configuration.
+const DIST_SIM_SHARE: f64 = 0.6;
 /// A run that has not finished after this long exits without a result,
 /// so a hung solver cannot hold the caller.
 const RUN_DEADLINE_S: u64 = 170;
@@ -112,7 +116,21 @@ fn main() {
         std::process::exit(3);
     });
     let (values, attempted, failed, samples, catalogue) = if args.trace {
-        let run = layers::run(&w, args.seed, args.seconds);
+        pin_or_warn(0);
+        let run = if w.entry == Entry::DistSim {
+            // The transport layer rides on the other multi-node workload's
+            // traced run (see `TRANSPORT` for why it is no workload itself).
+            let transport = workload(TRANSPORT).expect("the transport configuration");
+            let mut run = layers::run(&w, args.seed, args.seconds * DIST_SIM_SHARE);
+            run.absorb_transport(layers::run(
+                &transport,
+                args.seed,
+                args.seconds * (1.0 - DIST_SIM_SHARE),
+            ));
+            run
+        } else {
+            layers::run(&w, args.seed, args.seconds)
+        };
         let prov = provenance::to_json(w.name, args.seed, w.threads, run.traced_calls, true);
         write_trace(&w, args.seed, &prov, &run);
         println!("{{\"provenance\": {prov}}}");
@@ -148,10 +166,17 @@ fn main() {
 fn fail(msg: &str) -> ! {
     eprintln!("perfbench: {msg}");
     eprintln!(
-        "usage: perfbench --workload <{}> --seed <n> --seconds <s> --trace <0|1>",
+        "usage: perfbench --workload <{}|{TRANSPORT}> --seed <n> --seconds <s> --trace <0|1>",
         NAMES.join("|")
     );
     std::process::exit(2);
+}
+
+/// Run the rest of this process on one CPU (see [`affinity`]).
+fn pin_or_warn(k: usize) {
+    if affinity::pin(k).is_none() {
+        eprintln!("perfbench: could not pin to one CPU; timing unpinned");
+    }
 }
 
 /// The process's resident-set high-water mark, MB.
@@ -170,6 +195,7 @@ fn peak_rss_mb() -> f64 {
 /// fact a line: `setup <s>`, `t <s>` per warm call, `hpl3 <system> <v>`,
 /// `rss <MB>`, and `calls <attempted> <failed>`.
 fn worker(w: &Workload, seed: u64, c: usize, seconds: f64) {
+    pin_or_warn(c);
     let (opts, platform) = (w.opts(), w.platform());
     let ids: Vec<usize> = (0..SYSTEMS).map(|k| c * SYSTEMS + k).collect();
     let systems: Vec<_> = ids.iter().map(|&i| w.problem(seed, i)).collect();
