@@ -120,6 +120,14 @@ pub struct SharedState {
 }
 
 impl SharedState {
+    /// The per-step records sorted by step, and the first failure — what
+    /// a driver reads back once the factorization has run.
+    pub(crate) fn outcome(&self) -> (Vec<StepRecord>, Option<String>) {
+        let mut records = self.records.lock().clone();
+        records.sort_by_key(|r| r.k);
+        (records, self.error.lock().clone())
+    }
+
     pub(crate) fn fail(&self, msg: String) {
         let mut e = self.error.lock();
         if e.is_none() {

@@ -26,7 +26,9 @@ use crate::config::FactorOptions;
 
 use super::{declare_tiles, Inserter, SharedState, StepPlanner};
 
-/// A factorization exposed step by step to [`luqr_runtime::stream::execute`].
+/// A factorization exposed step by step to the streaming driver
+/// ([`luqr_runtime::stream::execute_with`] and
+/// [`luqr_runtime::stream::execute_net`]).
 pub struct PlannerStepSource<'a> {
     planner: Box<dyn StepPlanner>,
     aug: &'a TiledMatrix,

@@ -59,7 +59,6 @@ pub use trees::{TreeConfig, TreeKind};
 
 use luqr_kernels::Mat;
 use luqr_runtime::stream::StreamReport;
-use luqr_runtime::trace::TraceOptions;
 use luqr_runtime::{
     execute, simulate, simulate_probed, simulate_with, ExecReport, Graph, Platform, SimReport,
 };
@@ -189,47 +188,6 @@ impl Factorization {
     pub fn dot_for_step(&self, k: usize) -> String {
         luqr_runtime::dot::to_dot_step(&self.graph, k)
     }
-
-    /// Simulate on `platform` and render the schedule as Chrome trace-event
-    /// JSON (open in `chrome://tracing` or Perfetto). Node lanes are named
-    /// by their [`NodeSpec`] — `node1 (4c @ 8 GF)` — so heterogeneous
-    /// schedules read at a glance.
-    pub fn chrome_trace(&self, platform: &Platform) -> String {
-        let sim = self.simulate(platform);
-        luqr_runtime::trace::to_chrome_trace_on(&self.graph, &sim, platform)
-    }
-
-    /// [`Factorization::chrome_trace`] under a scheduling policy, with
-    /// every node lane labelled by it — `node1 (4c @ 8 GF) [eft]` — so a
-    /// trace says which schedule it shows.
-    pub fn chrome_trace_sched(&self, platform: &Platform, opts: &SimOptions) -> String {
-        let sim = self.simulate_with(platform, opts);
-        luqr_runtime::trace::to_chrome_trace_sched(&self.graph, &sim, platform, opts.scheduler)
-    }
-
-    /// [`Factorization::chrome_trace_sched`] through a probed replay: the
-    /// returned JSON carries the task spans *and* the probe's gauge series
-    /// as Chrome counter tracks (ready-pool depth, per-node busy time),
-    /// and the [`ProbeReport`] comes back alongside for the other export
-    /// formats ([`luqr_runtime::probe::export`]).
-    pub fn chrome_trace_probed(
-        &self,
-        platform: &Platform,
-        opts: &SimOptions,
-        probe: &Probe,
-    ) -> (String, ProbeReport) {
-        let (sim, report) = self.simulate_probed(platform, opts, probe);
-        let json = luqr_runtime::trace::to_chrome_trace_with(
-            &self.graph,
-            &sim,
-            &TraceOptions {
-                platform: Some(platform),
-                policy: Some(opts.scheduler),
-                counters: Some(&report.snapshot),
-            },
-        );
-        (json, report)
-    }
 }
 
 /// The planner registry: map an [`Algorithm`] to the [`StepPlanner`] that
@@ -258,33 +216,38 @@ pub fn planner_for(algorithm: &Algorithm) -> Box<dyn StepPlanner> {
 /// column (the paper's augmented-matrix workflow always carries the
 /// right-hand side through the factorization).
 pub fn factor(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> Factorization {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
-    // Give the packed-GEMM engine the same worker budget as the executor so
-    // large trailing updates can split across threads deterministically.
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
-
-    let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
-    let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
+    let (aug, nt_a) = prelude(a, rhs, opts);
     let (graph, shared) = builder::build_graph(&aug, nt_a, opts);
     let exec = execute(&graph, opts.threads);
-    let records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    let mut records = records;
-    records.sort_by_key(|r| r.k);
+    let (records, error) = shared.outcome();
     Factorization {
         aug,
         graph,
         exec,
         records,
         error,
-        n,
+        n: a.rows(),
         nrhs: rhs.cols(),
         algorithm: opts.algorithm.clone(),
     }
+}
+
+/// What every factorization entry point does before planning: check the
+/// inputs, give the packed-GEMM engine the same worker budget as the
+/// executor (so large trailing updates can split across threads
+/// deterministically), and tile `[A | rhs]`. Returns the augmented matrix
+/// and the number of tile columns that belong to `A`.
+pub(crate) fn prelude(a: &Mat, rhs: &Mat, opts: &FactorOptions) -> (TiledMatrix, usize) {
+    let n = a.rows();
+    assert_eq!(a.cols(), n, "A must be square");
+    assert_eq!(rhs.rows(), n, "rhs row mismatch");
+    assert!(rhs.cols() >= 1, "need at least one rhs column");
+    assert!(opts.nb >= 2, "tile size must be at least 2");
+    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
+
+    let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
+    let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
+    (aug, nt_a)
 }
 
 /// Convenience: factor and immediately back-substitute.
@@ -327,26 +290,6 @@ impl StreamFactorization {
     /// Fraction of elimination steps that were LU steps.
     pub fn lu_step_fraction(&self) -> f64 {
         lu_step_fraction(&self.algorithm, &self.records)
-    }
-
-    /// Chrome trace-event JSON of the recorded execution spans (empty run
-    /// unless the factorization was streamed with
-    /// [`StreamOptions::trace`] on): windowed runs are inspectable in
-    /// `chrome://tracing` like batch runs, with `pid` = virtual node and
-    /// `tid` = worker thread.
-    pub fn chrome_trace(&self) -> String {
-        luqr_runtime::events_to_chrome_trace(&self.report.trace)
-    }
-
-    /// [`StreamFactorization::chrome_trace`] with node lanes named by the
-    /// platform's [`NodeSpec`]s and stamped with the run's virtual-time
-    /// scheduling policy.
-    pub fn chrome_trace_on(&self, platform: &Platform) -> String {
-        luqr_runtime::trace::events_to_chrome_trace_sched(
-            &self.report.trace,
-            Some(platform),
-            Some(self.report.scheduler),
-        )
     }
 }
 
@@ -429,29 +372,16 @@ pub fn factor_stream_with(
     opts: &FactorOptions,
     stream_opts: &StreamOptions,
 ) -> StreamFactorization {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
-    // Give the packed-GEMM engine the same worker budget as the executor so
-    // large trailing updates can split across threads deterministically.
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
-
-    let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
-    let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
+    let (aug, nt_a) = prelude(a, rhs, opts);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let report = luqr_runtime::stream::execute_with(&mut source, stream_opts);
-    let shared = source.shared();
-    let mut records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    records.sort_by_key(|r| r.k);
+    let (records, error) = source.shared().outcome();
     StreamFactorization {
         aug,
         report,
         records,
         error,
-        n,
+        n: a.rows(),
         nrhs: rhs.cols(),
         algorithm: opts.algorithm.clone(),
     }

@@ -39,7 +39,6 @@ use luqr_runtime::net::loopback::loopback_set;
 use luqr_runtime::net::socket::{socket_set, SocketSpec};
 use luqr_runtime::stream::execute_net;
 use luqr_runtime::{NetConfig, PayloadStore, Probe, StreamOptions, Transport, TransportError};
-use luqr_tile::TiledMatrix;
 
 use crate::builder::stream_source::PlannerStepSource;
 use crate::config::FactorOptions;
@@ -91,7 +90,8 @@ pub fn factor_stream_net(
 /// probe). The probe observes rank 0's window — including the wire-level
 /// frame/byte/latency metrics; peer ranks run unprobed. Platform
 /// simulation, steal-at-insert, and recalibration are not available over a
-/// real transport.
+/// real transport: asking for one is a [`TransportError::Protocol`],
+/// returned before any frame is sent.
 pub fn factor_stream_net_opts(
     a: &Mat,
     rhs: &Mat,
@@ -185,33 +185,25 @@ pub fn factor_stream_net_rank(
     stream_opts: &StreamOptions,
     transport: Arc<dyn Transport>,
 ) -> Result<StreamFactorization, TransportError> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "A must be square");
-    assert_eq!(rhs.rows(), n, "rhs row mismatch");
-    assert!(rhs.cols() >= 1, "need at least one rhs column");
-    assert!(opts.nb >= 2, "tile size must be at least 2");
-    assert_eq!(
-        transport.nranks(),
-        opts.grid.nodes(),
-        "transport set size must match the process grid"
-    );
-    luqr_kernels::gemm_kernel::set_kernel_threads(opts.threads.max(1));
-
-    let aug = TiledMatrix::from_dense_augmented(a, rhs, opts.nb);
-    let nt_a = aug.nt() - rhs.cols().div_ceil(opts.nb);
+    if transport.nranks() != opts.grid.nodes() {
+        return Err(TransportError::Protocol(format!(
+            "transport set of {} ranks does not match the {}x{} process grid",
+            transport.nranks(),
+            opts.grid.p,
+            opts.grid.q
+        )));
+    }
+    let (aug, nt_a) = crate::prelude(a, rhs, opts);
     let mut source = PlannerStepSource::new(&aug, nt_a, opts);
     let store: Arc<dyn PayloadStore> = Arc::new(RegistryStore::new(&aug, source.shared()));
     let report = execute_net(&mut source, stream_opts, NetConfig { transport, store })?;
-    let shared = source.shared();
-    let mut records = shared.records.lock().clone();
-    let error = shared.error.lock().clone();
-    records.sort_by_key(|r| r.k);
+    let (records, error) = source.shared().outcome();
     Ok(StreamFactorization {
         aug,
         report,
         records,
         error,
-        n,
+        n: a.rows(),
         nrhs: rhs.cols(),
         algorithm: opts.algorithm.clone(),
     })

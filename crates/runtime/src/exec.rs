@@ -8,14 +8,13 @@
 //! results regardless of the number of workers — only the interleaving
 //! changes.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel;
 
 use crate::graph::{CostClass, Graph, TaskId, TaskResult};
-use crate::sched::{ReadyQueue, SchedPolicy};
 use crate::trace::{step_index, TraceEvent};
 
 /// Running tally of task outcomes, shared by the batch executor's report
@@ -84,150 +83,13 @@ pub fn execute_traced(graph: &Graph, threads: usize) -> (ExecReport, Vec<TraceEv
     (report, events)
 }
 
-/// Execute the graph with policy-driven ready-task selection: workers pop
-/// the shared ready pool in the order `policy` dictates instead of the
-/// plain FIFO channel of [`execute`].
-///
-/// On the host there is no platform model to consult, so the policies
-/// reduce to their structural priorities: [`SchedPolicy::Fifo`] pops the
-/// smallest ready id (insertion order); the other three pop by
-/// critical-path depth — [`SchedPolicy::LocalityAware`] and
-/// [`SchedPolicy::Eft`] are virtual-time-state policies whose residency /
-/// finish-time oracles only exist in the simulator, and depth is their
-/// shared tie-break. Numerical results are identical under every policy
-/// and thread count: the hazard edges serialize all conflicting accesses,
-/// scheduling only permutes the interleaving (pinned in `sched_props.rs`).
-pub fn execute_scheduled(graph: &Graph, threads: usize, policy: SchedPolicy) -> ExecReport {
-    let threads = threads.max(1);
-    let n = graph.len();
-    let start = Instant::now();
-    if n == 0 {
-        return ExecReport {
-            wall_seconds: 0.0,
-            tasks_executed: 0,
-            tasks_discarded: 0,
-            total_flops: 0.0,
-        };
-    }
-    for t in &graph.tasks {
-        t.preds_remaining.store(t.num_preds, Ordering::Relaxed);
-    }
-
-    // Structural priority per task: 0 for FIFO (the id tie-break of the
-    // shared ReadyQueue then yields insertion order), chain depth
-    // otherwise. Depth is a forward pass over the id-ordered tasks (edges
-    // always point to higher ids).
-    let depth: Vec<u64> = match policy {
-        SchedPolicy::Fifo => vec![0; n],
-        _ => {
-            let mut depth = vec![1u64; n];
-            for (id, t) in graph.tasks.iter().enumerate() {
-                for &s in &t.successors {
-                    depth[s] = depth[s].max(depth[id] + 1);
-                }
-            }
-            depth
-        }
-    };
-
-    struct Pool {
-        ready: ReadyQueue,
-        remaining: usize,
-    }
-    let mut ready = ReadyQueue::default();
-    for root in graph.roots() {
-        ready.push(depth[root], root, graph.tasks[root].node);
-    }
-    let pool = Mutex::new(Pool {
-        ready,
-        remaining: n,
-    });
-    let work_cv = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let pool = &pool;
-            let work_cv = &work_cv;
-            let depth = &depth;
-            scope.spawn(move || loop {
-                let tid = {
-                    let mut st = pool.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(r) = st.ready.pop() {
-                            break r.id;
-                        }
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        st = work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-                let task = &graph.tasks[tid];
-                let kernel = task
-                    .kernel
-                    .lock()
-                    .take()
-                    .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-                let result = kernel();
-                task.result
-                    .set(result)
-                    .expect("task result already recorded");
-                let mut newly_ready = 0usize;
-                {
-                    let mut st = pool.lock().unwrap_or_else(|e| e.into_inner());
-                    for &s in &task.successors {
-                        let prev = graph.tasks[s]
-                            .preds_remaining
-                            .fetch_sub(1, Ordering::AcqRel);
-                        debug_assert!(prev >= 1, "dependency underflow");
-                        if prev == 1 {
-                            st.ready.push(depth[s], s, graph.tasks[s].node);
-                            newly_ready += 1;
-                        }
-                    }
-                    st.remaining -= 1;
-                    if st.remaining == 0 {
-                        work_cv.notify_all();
-                    }
-                }
-                for _ in 0..newly_ready {
-                    work_cv.notify_one();
-                }
-            });
-        }
-    });
-
-    let mut tally = Tally::default();
-    for t in &graph.tasks {
-        match t.result() {
-            Some(r) => tally.record(&r),
-            None => panic!("task '{}' never ran — cyclic or broken graph", t.name),
-        }
-    }
-    ExecReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        tasks_executed: tally.executed,
-        tasks_discarded: tally.discarded,
-        total_flops: tally.flops,
-    }
-}
-
 fn execute_inner(
     graph: &Graph,
     threads: usize,
     events: Option<&parking_lot::Mutex<Vec<TraceEvent>>>,
 ) -> ExecReport {
     let threads = threads.max(1);
-    let n = graph.len();
     let start = Instant::now();
-    if n == 0 {
-        return ExecReport {
-            wall_seconds: 0.0,
-            tasks_executed: 0,
-            tasks_discarded: 0,
-            total_flops: 0.0,
-        };
-    }
 
     // Reset countdowns (allows re-execution safety checks to fire instead of
     // hanging if someone calls execute twice).
@@ -235,130 +97,89 @@ fn execute_inner(
         t.preds_remaining.store(t.num_preds, Ordering::Relaxed);
     }
 
-    // Single-worker fast path: run the same FIFO discipline inline on the
-    // calling thread. The ready order — and therefore every task
-    // interleaving — is identical to the one-worker channel loop below;
-    // only the thread spawn and channel traffic disappear, which is a
-    // measurable slice of wall time on fine-grained graphs.
+    // Run one ready task on `worker`: take its kernel, run it (recording
+    // its span when tracing), store its result, and hand every successor
+    // this completion made ready to `release`.
+    let run = |tid: TaskId, worker: usize, release: &mut dyn FnMut(TaskId)| {
+        let task = &graph.tasks[tid];
+        let kernel = task
+            .kernel
+            .lock()
+            .take()
+            .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
+        let t0 = events.map(|_| start.elapsed().as_secs_f64());
+        let result = kernel();
+        if let (Some(events), Some(t0)) = (events, t0) {
+            if result.executed {
+                events.lock().push(TraceEvent {
+                    name: task.name.clone(),
+                    node: task.node,
+                    worker,
+                    step: step_index(&task.name),
+                    start: t0,
+                    end: start.elapsed().as_secs_f64(),
+                });
+            }
+        }
+        task.result
+            .set(result)
+            .expect("task result already recorded");
+        for &s in &task.successors {
+            let prev = graph.tasks[s]
+                .preds_remaining
+                .fetch_sub(1, Ordering::AcqRel);
+            debug_assert!(prev >= 1, "dependency underflow");
+            if prev == 1 {
+                release(s);
+            }
+        }
+    };
+
     if threads == 1 {
-        let mut queue: std::collections::VecDeque<TaskId> = graph.roots().into();
-        let mut tally = Tally::default();
+        // Single-worker fast path: the same FIFO discipline inline on the
+        // calling thread. The ready order — and therefore every task
+        // interleaving — is identical to the one-worker channel loop
+        // below; only the thread spawn and channel traffic disappear,
+        // which is a measurable slice of wall time on fine-grained graphs.
+        let mut queue: VecDeque<TaskId> = graph.roots().into();
         while let Some(tid) = queue.pop_front() {
-            let task = &graph.tasks[tid];
-            let kernel = task
-                .kernel
-                .lock()
-                .take()
-                .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-            let t0 = events.map(|_| start.elapsed().as_secs_f64());
-            let result = kernel();
-            if let Some(events) = events {
-                if result.executed {
-                    events.lock().push(TraceEvent {
-                        name: task.name.clone(),
-                        node: task.node,
-                        worker: 0,
-                        step: step_index(&task.name),
-                        start: t0.unwrap(),
-                        end: start.elapsed().as_secs_f64(),
-                    });
-                }
-            }
-            tally.record(&result);
-            task.result
-                .set(result)
-                .expect("task result already recorded");
-            for &s in &task.successors {
-                let prev = graph.tasks[s]
-                    .preds_remaining
-                    .fetch_sub(1, Ordering::AcqRel);
-                debug_assert!(prev >= 1, "dependency underflow");
-                if prev == 1 {
-                    queue.push_back(s);
-                }
-            }
+            run(tid, 0, &mut |s| queue.push_back(s));
         }
-        for t in &graph.tasks {
-            assert!(
-                t.result().is_some(),
-                "task '{}' never ran — cyclic or broken graph",
-                t.name
-            );
+    } else if !graph.is_empty() {
+        let (tx, rx) = channel::unbounded::<TaskId>();
+        for root in graph.roots() {
+            tx.send(root).expect("queue closed");
         }
-        return ExecReport {
-            wall_seconds: start.elapsed().as_secs_f64(),
-            tasks_executed: tally.executed,
-            tasks_discarded: tally.discarded,
-            total_flops: tally.flops,
-        };
-    }
-
-    let (tx, rx) = channel::unbounded::<TaskId>();
-    for root in graph.roots() {
-        tx.send(root).expect("queue closed");
-    }
-    let remaining = AtomicUsize::new(n);
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let rx = rx.clone();
-            let tx = tx.clone();
-            let remaining = &remaining;
-            scope.spawn(move || {
-                while let Ok(tid) = rx.recv() {
-                    if tid == usize::MAX {
-                        break; // all tasks done — sentinel
-                    }
-                    let task = &graph.tasks[tid];
-                    let kernel = task
-                        .kernel
-                        .lock()
-                        .take()
-                        .unwrap_or_else(|| panic!("task '{}' executed twice", task.name));
-                    let t0 = start.elapsed().as_secs_f64();
-                    let result = kernel();
-                    if let Some(events) = events {
-                        if result.executed {
-                            events.lock().push(TraceEvent {
-                                name: task.name.clone(),
-                                node: task.node,
-                                worker,
-                                step: step_index(&task.name),
-                                start: t0,
-                                end: start.elapsed().as_secs_f64(),
-                            });
+        let remaining = AtomicUsize::new(graph.len());
+        std::thread::scope(|scope| {
+            for worker in 0..threads {
+                let (rx, tx) = (rx.clone(), tx.clone());
+                let (run, remaining) = (&run, &remaining);
+                scope.spawn(move || {
+                    while let Ok(tid) = rx.recv() {
+                        if tid == usize::MAX {
+                            break; // all tasks done — sentinel
                         }
-                    }
-                    task.result
-                        .set(result)
-                        .expect("task result already recorded");
-                    // Release successors.
-                    for &s in &task.successors {
-                        let prev = graph.tasks[s]
-                            .preds_remaining
-                            .fetch_sub(1, Ordering::AcqRel);
-                        debug_assert!(prev >= 1, "dependency underflow");
-                        if prev == 1 {
+                        run(tid, worker, &mut |s| {
                             let _ = tx.send(s);
+                        });
+                        // The worker finishing the last task wakes
+                        // everyone up with one sentinel per worker.
+                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            for _ in 0..threads {
+                                let _ = tx.send(usize::MAX);
+                            }
                         }
                     }
-                    // The worker finishing the last task wakes everyone up
-                    // with one sentinel per worker.
-                    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        for _ in 0..threads {
-                            let _ = tx.send(usize::MAX);
-                        }
-                    }
-                }
-            });
-        }
-        // Drop the main thread's sender so the channel can disconnect after
-        // the sentinels are consumed.
-        drop(tx);
-        drop(rx);
-    });
+                });
+            }
+            // Drop the main thread's ends so the channel can disconnect
+            // after the sentinels are consumed.
+            drop(tx);
+            drop(rx);
+        });
+    }
 
-    // Collect statistics.
     let mut tally = Tally::default();
     for t in &graph.tasks {
         match t.result() {
@@ -485,66 +306,6 @@ mod tests {
         let a = run(1);
         let b_ = run(4);
         assert_eq!(a.to_bits(), b_.to_bits());
-    }
-
-    #[test]
-    fn scheduled_execution_is_deterministic_and_complete() {
-        // The float-reduction determinism check of `execute`, across every
-        // policy and thread count: hazard order fixes the arithmetic, the
-        // policy only permutes independent work.
-        fn run(threads: usize, policy: SchedPolicy) -> (f64, usize) {
-            let cell = Arc::new(parking_lot::Mutex::new(1.0f64));
-            let mut b = GraphBuilder::new(1);
-            b.declare(k(0), 8, 0);
-            for i in 0..40 {
-                let cell = Arc::clone(&cell);
-                b.task(format!("t{i}"), 0, &[Access::Mut(k(0))], move || {
-                    let mut v = cell.lock();
-                    *v = (*v * 1.0000001).sin() + i as f64 * 1e-3;
-                    TaskResult::control()
-                });
-            }
-            // Independent work the policy may interleave freely.
-            for i in 0..20u64 {
-                b.declare(k(100 + i), 8, 0);
-                b.task(format!("w{i}"), 0, &[Access::Mut(k(100 + i))], || {
-                    TaskResult::executed(5.0, CostClass::Gemm)
-                });
-            }
-            let g = b.build();
-            let r = execute_scheduled(&g, threads, policy);
-            let v = *cell.lock();
-            (v, r.tasks_executed)
-        }
-        let (base, _) = run(1, SchedPolicy::Fifo);
-        for policy in SchedPolicy::all() {
-            for threads in [1, 4] {
-                let (v, executed) = run(threads, policy);
-                assert_eq!(base.to_bits(), v.to_bits(), "{} t{threads}", policy.name());
-                assert_eq!(executed, 60);
-            }
-        }
-    }
-
-    #[test]
-    fn scheduled_fifo_pops_ready_tasks_in_insertion_order() {
-        // Independent tasks, one worker: FIFO must run them in id order,
-        // the depth policies in their (equal-depth) id order too — but a
-        // two-level graph separates them: depth-first pops the second
-        // level's deep chain before the remaining shallow roots.
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut b = GraphBuilder::new(1);
-        for i in 0..6u64 {
-            b.declare(k(i), 8, 0);
-            let log = Arc::clone(&log);
-            b.task(format!("t{i}"), 0, &[Access::Mut(k(i))], move || {
-                log.lock().push(i);
-                TaskResult::control()
-            });
-        }
-        let g = b.build();
-        execute_scheduled(&g, 1, SchedPolicy::Fifo);
-        assert_eq!(*log.lock(), (0..6).collect::<Vec<_>>());
     }
 
     #[test]

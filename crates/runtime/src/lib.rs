@@ -37,7 +37,7 @@
 //! * [`sched`] — pluggable ready-task selection over that engine: FIFO
 //!   (insertion order, the bitwise-pinned default), critical-path,
 //!   locality-aware, and HEFT-style earliest-finish-time policies, shared
-//!   by the batch simulator, the host executor, and both streaming paths.
+//!   by the batch simulator and both streaming paths.
 //! * [`probe`] — typed metrics probes (counters, gauges, time-series
 //!   histograms) threaded through the scheduler, the streaming window, the
 //!   comm model, and the vtime engine, plus a makespan-attribution pass
@@ -62,7 +62,7 @@ pub mod vtime;
 pub use comm::{
     DataMsg, DecisionMsg, LinkMsgStats, LinkTraffic, Msg, MsgStats, Network, RetireMsg,
 };
-pub use exec::{execute, execute_scheduled, execute_traced, ExecReport, Tally};
+pub use exec::{execute, execute_traced, ExecReport, Tally};
 pub use graph::{
     Access, CostClass, CostedAccess, DataClass, DataKey, Graph, GraphBuilder, Kernel, TaskBuilder,
     TaskId, TaskResult, TaskSink,
@@ -78,5 +78,5 @@ pub use sim::{simulate, simulate_probed, simulate_with, SimOptions, SimReport};
 pub use stream::{
     NetConfig, StepPhase, StepSource, StreamOptions, StreamReport, StreamWindow, WindowPolicy,
 };
-pub use trace::{events_to_chrome_trace, render_chrome_trace, TraceEvent, TraceOptions};
+pub use trace::{render_chrome_trace, sim_events, TraceEvent, TraceOptions};
 pub use vtime::VirtualSchedule;

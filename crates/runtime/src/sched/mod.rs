@@ -39,11 +39,10 @@
 //!
 //! Scheduling **never** changes the factorization: placements, kernels,
 //! and numerical results are fixed by the algorithm layer; a policy only
-//! permutes the virtual timeline (and the host executor's pop order, see
-//! [`crate::exec::execute_scheduled`]). The timeline-only invariant is
-//! property-tested in `sched_props.rs` (batch replay + online streaming);
-//! the host executor's numeric invariance is pinned by `exec.rs`'s
-//! float-reduction determinism test across every policy.
+//! permutes the virtual timeline. The host executors do not consult it:
+//! the batch executor pops in FIFO order and the streaming workers by
+//! critical-path depth. The timeline-only invariant is property-tested in
+//! `sched_props.rs` (batch replay + online streaming).
 
 mod critical_path;
 mod eft;

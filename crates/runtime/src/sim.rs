@@ -221,24 +221,7 @@ pub fn simulate(graph: &Graph, platform: &Platform) -> SimReport {
 /// lookahead) and drained in the order the policy selects. Report spans
 /// stay indexed by task id whatever order that is.
 pub fn simulate_with(graph: &Graph, platform: &Platform, opts: &SimOptions) -> SimReport {
-    if let Err(e) = platform.require_nodes(graph.num_nodes) {
-        panic!(
-            "cannot simulate: {e} (graph placements reference {} nodes)",
-            graph.num_nodes
-        );
-    }
-    let mut eng = SchedEngine::with_spans(platform, opts.scheduler);
-    if opts.steal {
-        eng = eng.with_stealing();
-    }
-    for t in &graph.tasks {
-        let r = t
-            .result()
-            .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name));
-        eng.submit(t.node, &t.accesses, r);
-    }
-    eng.drain();
-    eng.report()
+    replay(graph, platform, opts, None).report()
 }
 
 /// [`simulate_with`] with metrics probes attached: tasks are tagged with
@@ -253,6 +236,22 @@ pub fn simulate_probed(
     opts: &SimOptions,
     probe: &Probe,
 ) -> (SimReport, ProbeReport) {
+    let mut eng = replay(graph, platform, opts, Some(probe));
+    eng.flush_probe();
+    if let Some(att) = eng.attribution() {
+        probe.set_attribution(att);
+    }
+    (eng.report(), probe.report())
+}
+
+/// Submit every task of `graph` to a policy-driven engine (tagged with
+/// its elimination step when `probe` is attached) and drain it.
+fn replay(
+    graph: &Graph,
+    platform: &Platform,
+    opts: &SimOptions,
+    probe: Option<&Probe>,
+) -> SchedEngine {
     if let Err(e) = platform.require_nodes(graph.num_nodes) {
         panic!(
             "cannot simulate: {e} (graph placements reference {} nodes)",
@@ -263,19 +262,18 @@ pub fn simulate_probed(
     if opts.steal {
         eng = eng.with_stealing();
     }
-    eng.attach_probe(probe);
+    if let Some(probe) = probe {
+        eng.attach_probe(probe);
+    }
     for t in &graph.tasks {
         let r = t
             .result()
             .unwrap_or_else(|| panic!("task '{}' has no result; execute first", t.name));
-        eng.submit_tagged(t.node, &t.accesses, r, crate::trace::step_index(&t.name));
+        let step = probe.and_then(|_| crate::trace::step_index(&t.name));
+        eng.submit_tagged(t.node, &t.accesses, r, step);
     }
     eng.drain();
-    eng.flush_probe();
-    if let Some(att) = eng.attribution() {
-        probe.set_attribution(att);
-    }
-    (eng.report(), probe.report())
+    eng
 }
 
 #[cfg(test)]

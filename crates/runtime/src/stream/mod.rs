@@ -267,7 +267,7 @@ pub struct StreamReport {
     /// recording them would grow with the task count, not the window.
     pub sim: Option<SimReport>,
     /// Per-task execution spans (set when [`StreamOptions::trace`] was
-    /// on); render with [`crate::trace::events_to_chrome_trace`].
+    /// on); render with [`crate::trace::render_chrome_trace`].
     pub trace: Vec<TraceEvent>,
     /// The virtual-time scheduling policy this run was configured with
     /// (trace exports label their lanes with it).
@@ -290,130 +290,15 @@ pub struct NetConfig {
     pub store: Arc<dyn PayloadStore>,
 }
 
-/// Execute `source` with at most `window` consecutive steps materialized,
-/// on `threads` worker threads (both clamped to ≥ 1).
-///
-/// The calling thread plans; workers execute concurrently. Numerical
-/// results are deterministic across `window` and `threads` because the
-/// hazard edges serialize all conflicting accesses in insertion order —
-/// the same guarantee the batch executor gives.
-pub fn execute(source: &mut dyn StepSource, window: usize, threads: usize) -> StreamReport {
-    execute_with(source, &StreamOptions::fixed(window, threads))
-}
-
 /// Execute `source` under the full streaming configuration: window policy,
 /// optional online platform simulation, optional trace recording.
+///
+/// The calling thread plans; workers execute concurrently. Numerical
+/// results are deterministic across the window and thread count because
+/// the hazard edges serialize all conflicting accesses in insertion order
+/// — the same guarantee the batch executor gives.
 pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> StreamReport {
-    let threads = opts.threads.max(1);
-    let start = Instant::now();
-    let win = StreamWindow::with_options(
-        source.num_nodes(),
-        opts.platform.as_ref(),
-        opts.trace,
-        opts.scheduler,
-        &opts.probe,
-        opts.steal,
-        opts.recalibrate,
-    );
-    let steps = source.num_steps();
-    let probing = opts.probe.is_enabled();
-
-    let (mut window, auto) = match opts.window {
-        WindowPolicy::Fixed(w) => (w.max(1), None),
-        WindowPolicy::Auto {
-            min,
-            max,
-            live_task_budget,
-        } => {
-            let min = min.max(1);
-            (min, Some((min, max.max(min), live_task_budget)))
-        }
-    };
-    let mut per_step_window = Vec::with_capacity(steps);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let win = &win;
-            scope.spawn(move || win.worker_loop(w));
-        }
-
-        source.prepare(&mut StepSink::declarations(&win));
-        for k in 0..steps {
-            win.wait_for_capacity(window);
-            win.open_step(k);
-            per_step_window.push(window);
-            if probing {
-                opts.probe.gauge(
-                    metric::STREAM_WINDOW,
-                    Label::None,
-                    start.elapsed().as_secs_f64(),
-                    window as f64,
-                );
-            }
-            let step_t0 = Instant::now();
-            let mut decision_wait = 0.0f64;
-            if opts.recalibrate {
-                // Speeds observed over steps that fully retired; the
-                // source may re-aim placement of the steps still ahead.
-                if let Some(speeds) = win.calibrated_speeds() {
-                    source.recalibrate(&speeds);
-                }
-            }
-            let mut sink = StepSink::new(&win, k);
-            match source.plan_prelude(k, &mut sink) {
-                StepPhase::Complete => {}
-                StepPhase::AwaitDecision(decision_task) => {
-                    let t0 = Instant::now();
-                    win.wait_for_task(decision_task);
-                    decision_wait = t0.elapsed().as_secs_f64();
-                    source.plan_finish(k, &mut sink);
-                }
-            }
-            if probing {
-                // Planner-side stall on this step's panel/criterion
-                // decision (zero for steps with no decision point).
-                opts.probe
-                    .observe(metric::STREAM_PANEL_WAIT, Label::None, decision_wait);
-            }
-            win.close_step(k);
-            if let Some((min, max, budget)) = auto {
-                // Shrink when live tasks near the memory budget; grow
-                // while the planner mostly sat waiting on the panel
-                // decision (the chain wants more lookahead).
-                let live = win.live_tasks();
-                let elapsed = step_t0.elapsed().as_secs_f64();
-                if budget > 0 && live * 10 >= budget * 8 {
-                    window = window.saturating_sub(1).max(min);
-                } else if decision_wait > 0.5 * elapsed && window < max {
-                    window += 1;
-                }
-            }
-        }
-        win.finish_planning();
-        win.wait_drained();
-    });
-
-    let stats = win.stats();
-    StreamReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        steps,
-        tasks_planned: stats.tasks_planned,
-        tasks_executed: stats.tally.executed,
-        tasks_discarded: stats.tally.discarded,
-        total_flops: stats.tally.flops,
-        peak_live_tasks: stats.peak_live_tasks,
-        peak_live_steps: stats.peak_live_steps,
-        per_step_tasks: stats.per_step_tasks,
-        per_step_window,
-        steals: stats.steals,
-        steal_kept: stats.steal_kept,
-        msgs: stats.msgs,
-        link_msgs: stats.link_msgs,
-        sim: stats.sim,
-        trace: stats.trace,
-        scheduler: opts.scheduler,
-        net: stats.net,
-    }
+    drive(source, opts, None).expect("a run without a transport has no transport to fail")
 }
 
 /// Execute `source` as one rank of a real distributed run (SPMD): every
@@ -430,33 +315,56 @@ pub fn execute_with(source: &mut dyn StepSource, opts: &StreamOptions) -> Stream
 /// than 0 ship the final version of every datum they own to rank 0, whose
 /// mirror then holds the complete factorization.
 ///
-/// Restrictions (asserted): no platform model / virtual time, FIFO
-/// scheduling, no stealing, no recalibration — net runs pin the
-/// bitwise-reproducible configuration. The transport's world size must
-/// equal `source.num_nodes()`.
+/// Net runs pin the bitwise-reproducible configuration: a platform model,
+/// stealing, or recalibration in `opts`, or a transport whose world size
+/// is not `source.num_nodes()`, is a [`TransportError::Protocol`] returned
+/// before any frame is sent — every rank of a set fails the same way.
 pub fn execute_net(
     source: &mut dyn StepSource,
     opts: &StreamOptions,
     net: NetConfig,
 ) -> Result<StreamReport, TransportError> {
-    assert!(
-        opts.platform.is_none(),
-        "execute_net drives real transports, not the platform model"
-    );
-    assert!(!opts.steal, "stealing would desynchronize SPMD planning");
-    assert!(
-        !opts.recalibrate,
-        "recalibration would desynchronize SPMD planning"
-    );
+    let unsupported = if opts.platform.is_some() {
+        Some("a platform model (net runs drive real transports)")
+    } else if opts.steal {
+        Some("stealing (it would desynchronize SPMD planning)")
+    } else if opts.recalibrate {
+        Some("recalibration (it would desynchronize SPMD planning)")
+    } else {
+        None
+    };
+    if let Some(what) = unsupported {
+        return Err(TransportError::Protocol(format!(
+            "net runs do not support {what}"
+        )));
+    }
+    let (rank, nranks) = (net.transport.rank(), net.transport.nranks());
+    if nranks != source.num_nodes() || rank >= nranks {
+        return Err(TransportError::Protocol(format!(
+            "transport rank {rank} of {nranks} does not fit {} virtual nodes",
+            source.num_nodes()
+        )));
+    }
+    drive(source, opts, Some(net))
+}
+
+/// The streaming driver behind [`execute_with`] and [`execute_net`]: the
+/// planning loop (window policy, per-step plan and decision wait,
+/// auto-resize) plus report assembly. `net` only adds the frame receiver
+/// and the end-of-run teardown; the window's net hooks are no-ops
+/// without it.
+fn drive(
+    source: &mut dyn StepSource,
+    opts: &StreamOptions,
+    net: Option<NetConfig>,
+) -> Result<StreamReport, TransportError> {
     let threads = opts.threads.max(1);
     let start = Instant::now();
-    let win = StreamWindow::with_net(
-        source.num_nodes(),
-        opts.trace,
-        &opts.probe,
-        Arc::clone(&net.transport),
-        Arc::clone(&net.store),
-    );
+    let transport = net.as_ref().map(|n| Arc::clone(&n.transport));
+    let mut win = StreamWindow::with_options(source.num_nodes(), opts);
+    if let Some(net) = net {
+        win.attach_net(net);
+    }
     let steps = source.num_steps();
     let probing = opts.probe.is_enabled();
 
@@ -479,11 +387,11 @@ pub fn execute_net(
             let win = &win;
             scope.spawn(move || win.worker_loop(w));
         }
-        // Receiver: pump inbound frames into the window until the run's
-        // shutdown frame (or the endpoint closes underneath us).
-        {
+        if let Some(transport) = &transport {
+            // Receiver: pump inbound frames into the window until the
+            // run's shutdown frame (or the endpoint closes underneath us).
             let win = &win;
-            let transport = Arc::clone(&net.transport);
+            let transport = Arc::clone(transport);
             scope.spawn(move || loop {
                 match transport.recv() {
                     Ok((from, frame)) => {
@@ -522,15 +430,22 @@ pub fn execute_net(
             }
             let step_t0 = Instant::now();
             let mut decision_wait = 0.0f64;
+            if opts.recalibrate {
+                // Speeds observed over steps that fully retired; the
+                // source may re-aim placement of the steps still ahead.
+                if let Some(speeds) = win.calibrated_speeds() {
+                    source.recalibrate(&speeds);
+                }
+            }
             let mut sink = StepSink::new(&win, k);
             match source.plan_prelude(k, &mut sink) {
                 StepPhase::Complete => {}
                 StepPhase::AwaitDecision(decision_task) => {
                     let t0 = Instant::now();
                     win.wait_for_task(decision_task);
-                    // The decision may have been computed on another rank:
-                    // wait for its *value* (the stub completing only means
-                    // its hazard slots released).
+                    // Over a transport the decision may have been computed
+                    // on another rank: wait for its *value* (the stub
+                    // completing only means its hazard slots released).
                     if let Err(e) = win.net_wait_decision(decision_task) {
                         run_err = Some(e);
                         win.close_step(k);
@@ -541,11 +456,16 @@ pub fn execute_net(
                 }
             }
             if probing {
+                // Planner-side stall on this step's panel/criterion
+                // decision (zero for steps with no decision point).
                 opts.probe
                     .observe(metric::STREAM_PANEL_WAIT, Label::None, decision_wait);
             }
             win.close_step(k);
             if let Some((min, max, budget)) = auto {
+                // Shrink when live tasks near the memory budget; grow
+                // while the planner mostly sat waiting on the panel
+                // decision (the chain wants more lookahead).
                 let live = win.live_tasks();
                 let elapsed = step_t0.elapsed().as_secs_f64();
                 if budget > 0 && live * 10 >= budget * 8 {
@@ -557,26 +477,21 @@ pub fn execute_net(
         }
         win.finish_planning();
         win.wait_drained();
-        if run_err.is_none() {
-            if let Err(e) = win.net_check() {
-                run_err = Some(e);
+        if let Some(transport) = &transport {
+            if run_err.is_none() {
+                run_err = win.net_check().and_then(|()| win.net_finish()).err();
             }
-        }
-        if run_err.is_none() {
-            if let Err(e) = win.net_finish() {
-                run_err = Some(e);
+            if run_err.is_some() {
+                // Take the peers down with us — they cannot make progress
+                // without this rank's frames, and over in-process
+                // transports nobody would notice a silently missing peer.
+                win.net_abort();
             }
+            // Stop the receiver in every case: rank 0 never gets a
+            // Shutdown frame of its own, and an erroring rank's receiver
+            // may still be blocked in recv().
+            transport.shutdown();
         }
-        if run_err.is_some() {
-            // Take the peers down with us — they cannot make progress
-            // without this rank's frames, and over in-process transports
-            // nobody would notice a silently missing peer.
-            win.net_abort();
-        }
-        // Stop the receiver in every case: rank 0 never gets a Shutdown
-        // frame of its own, and an erroring rank's receiver may still be
-        // blocked in recv().
-        net.transport.shutdown();
     });
 
     if let Some(e) = run_err {
@@ -657,7 +572,7 @@ mod tests {
                 width: 5,
                 log: Arc::clone(&log),
             };
-            let report = execute(&mut src, window, threads);
+            let report = execute_with(&mut src, &StreamOptions::fixed(window, threads));
             assert_eq!(report.tasks_executed, 30);
             assert_eq!(report.tasks_planned, 30);
             assert!(report.peak_live_steps <= window);
@@ -691,7 +606,7 @@ mod tests {
                 StepPhase::Complete
             }
         }
-        let report = execute(&mut WideSource, 1, 4);
+        let report = execute_with(&mut WideSource, &StreamOptions::fixed(1, 4));
         assert_eq!(report.tasks_executed, 200);
         assert_eq!(report.peak_live_steps, 1);
         assert!(
@@ -743,7 +658,7 @@ mod tests {
             decided: Arc::clone(&decided),
             branch_ran: Arc::clone(&branch_ran),
         };
-        let report = execute(&mut src, 2, 3);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 3));
         assert_eq!(report.tasks_executed, 2);
         assert_eq!(branch_ran.load(Ordering::SeqCst), 1);
     }
@@ -759,7 +674,7 @@ mod tests {
                 unreachable!()
             }
         }
-        let report = execute(&mut Empty, 4, 2);
+        let report = execute_with(&mut Empty, &StreamOptions::fixed(4, 2));
         assert_eq!(report.tasks_planned, 0);
         assert_eq!(report.peak_live_steps, 0);
     }
@@ -796,7 +711,7 @@ mod tests {
             let mut src = Reduce {
                 cell: Arc::clone(&cell),
             };
-            execute(&mut src, window, threads);
+            execute_with(&mut src, &StreamOptions::fixed(window, threads));
             let v = *cell.lock();
             v
         }
@@ -839,7 +754,7 @@ mod tests {
     #[test]
     fn cross_node_flow_counts_one_msg_per_version_and_destination() {
         let mut src = TwoNodeSource;
-        let report = execute(&mut src, 2, 2);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
         assert_eq!(report.tasks_executed, 9);
         // One DataMsg per step for k(0) (producer → node 1), regardless
         // of the two consumers there.
@@ -858,7 +773,7 @@ mod tests {
             width: 3,
             log,
         };
-        let report = execute(&mut src, 2, 2);
+        let report = execute_with(&mut src, &StreamOptions::fixed(2, 2));
         assert_eq!(report.msgs.data_msgs, 0);
         assert_eq!(report.msgs.decision_msgs, 0);
         assert_eq!(report.msgs.retire_msgs, 0);
@@ -1040,7 +955,7 @@ mod tests {
             assert_eq!(ev.node, 0);
             assert!(ev.step.is_some());
         }
-        let json = crate::trace::events_to_chrome_trace(&report.trace);
+        let json = crate::trace::render_chrome_trace(&report.trace, &Default::default());
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 6);
     }
 }

@@ -1,8 +1,8 @@
 //! Critical-path-depth task priorities for the streaming window's
 //! host-side workers.
 //!
-//! The implementation moved to [`crate::sched::critical_path`] when the
-//! scheduler subsystem generalized it: the same depth metric and the same
+//! The implementation moved to the scheduler subsystem ([`crate::sched`])
+//! when it generalized it: the same depth metric and the same
 //! max-heap now drive both the batch virtual-time schedule (as the
 //! [`crate::sched::CriticalPath`] policy) and the streaming workers' pop
 //! order, which is what keeps the two runtimes' notion of "deepest ready

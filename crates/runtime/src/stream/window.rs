@@ -48,12 +48,13 @@ use crate::hazard::{HazardCell, Writer};
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
 use crate::probe::{metric, Histogram, Label, Probe};
-use crate::sched::{SchedEngine, SchedPolicy};
+use crate::sched::SchedEngine;
 use crate::sim::SimReport;
 use crate::trace::TraceEvent;
 
 use super::priority::ReadyQueue;
 use super::retire::StepLedger;
+use super::{NetConfig, StreamOptions};
 
 /// Scheduling lookahead of the online virtual-time engine: how many
 /// completed-but-unscheduled task records the policy may hold for choice.
@@ -499,37 +500,21 @@ pub struct StreamWindow {
 const NO_STEP: usize = usize::MAX;
 
 impl StreamWindow {
-    pub fn new(num_nodes: usize) -> Self {
-        StreamWindow::with_options(
-            num_nodes,
-            None,
-            false,
-            SchedPolicy::Fifo,
-            &Probe::disabled(),
-            false,
-            false,
-        )
-    }
-
-    /// A window that additionally drives the platform communication model
-    /// online (`platform`, virtual time scheduled by `scheduler`), records
-    /// per-task trace events (`trace`), and/or emits runtime metrics into
-    /// an enabled `probe`.
-    pub fn with_options(
-        num_nodes: usize,
-        platform: Option<&Platform>,
-        trace: bool,
-        scheduler: SchedPolicy,
-        probe: &Probe,
-        steal: bool,
-        recalibrate: bool,
-    ) -> Self {
+    /// A window over `num_nodes` virtual nodes configured by `opts`: it
+    /// additionally drives the platform communication model online
+    /// (`platform`, virtual time scheduled by `scheduler`), records
+    /// per-task trace events (`trace`), emits runtime metrics into an
+    /// enabled `probe`, steals at insertion and recalibrates as asked.
+    /// The window policy and thread count are the driver's business.
+    pub fn with_options(num_nodes: usize, opts: &StreamOptions) -> Self {
         assert!(num_nodes >= 1);
+        let platform = opts.platform.as_ref();
         if let Some(p) = platform {
             if let Err(e) = p.require_nodes(num_nodes) {
                 panic!("cannot stream against this platform: {e}");
             }
         }
+        let probe = &opts.probe;
         StreamWindow {
             num_nodes,
             state: Mutex::new(WindowState {
@@ -544,7 +529,8 @@ impl StreamWindow {
                 tasks_planned: 0,
                 peak_live_tasks: 0,
                 vtime: platform.map(|p| {
-                    let mut engine = SchedEngine::new(p, scheduler).with_lookahead(VTIME_LOOKAHEAD);
+                    let mut engine =
+                        SchedEngine::new(p, opts.scheduler).with_lookahead(VTIME_LOOKAHEAD);
                     engine.attach_probe(probe);
                     VtimeState {
                         engine,
@@ -552,16 +538,16 @@ impl StreamWindow {
                         next: 0,
                     }
                 }),
-                steal: steal && platform.is_some() && num_nodes > 1,
+                steal: opts.steal && platform.is_some() && num_nodes > 1,
                 steals: 0,
                 steal_kept: 0,
                 steal_win: Histogram::default(),
-                calib: if recalibrate {
+                calib: if opts.recalibrate {
                     platform.map(|p| CalibState::new(p, num_nodes))
                 } else {
                     None
                 },
-                trace: trace.then(Vec::<TraceEvent>::new),
+                trace: opts.trace.then(Vec::<TraceEvent>::new),
                 probe: probe.clone(),
                 link_msgs: BTreeMap::new(),
                 kernel_stats: probe
@@ -578,38 +564,18 @@ impl StreamWindow {
         }
     }
 
-    /// A window bound to a real transport endpoint: every protocol message
-    /// this rank originates goes out as a wire frame and local tasks gate
-    /// on the arrival of their remote inputs. Used by
-    /// [`crate::stream::execute_net`] — which enforces the mode's
-    /// restrictions (no platform model, FIFO, no stealing).
-    pub(crate) fn with_net(
-        num_nodes: usize,
-        trace: bool,
-        probe: &Probe,
-        transport: Arc<dyn Transport>,
-        store: Arc<dyn PayloadStore>,
-    ) -> Self {
-        assert_eq!(
-            transport.nranks(),
-            num_nodes,
-            "transport world size must match the virtual node count"
-        );
-        let rank = transport.rank();
-        assert!(rank < num_nodes, "transport rank out of range");
-        let mut win = StreamWindow::with_options(
-            num_nodes,
-            None,
-            trace,
-            SchedPolicy::Fifo,
-            probe,
-            false,
-            false,
-        );
-        win.state.get_mut().unwrap_or_else(|e| e.into_inner()).net = Some(NetState {
-            rank,
-            transport,
-            store,
+    /// Bind the window to a real transport endpoint: every protocol
+    /// message this rank originates goes out as a wire frame and local
+    /// tasks gate on the arrival of their remote inputs. Used by
+    /// [`crate::stream::execute_net`] — which checks the mode's
+    /// restrictions (no platform model, no stealing, no recalibration,
+    /// a transport sized to the node count) first.
+    pub(crate) fn attach_net(&mut self, net: NetConfig) {
+        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        state.net = Some(NetState {
+            rank: net.transport.rank(),
+            transport: net.transport,
+            store: net.store,
             arrivals: HashMap::new(),
             waiters: HashMap::new(),
             pending_decisions: HashMap::new(),
@@ -627,7 +593,6 @@ impl StreamWindow {
             complete: false,
             error: None,
         });
-        win
     }
 
     pub fn num_nodes(&self) -> usize {

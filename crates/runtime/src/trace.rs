@@ -1,22 +1,23 @@
 //! Execution-trace export in Chrome trace-event JSON.
 //!
-//! Two producers feed the same renderer:
+//! Three producers emit [`TraceEvent`]s:
 //!
-//! * [`to_chrome_trace`] renders a simulated schedule
-//!   ([`crate::sim::SimReport`]) of a materialized graph — one process per
-//!   virtual node, one duration event per executed task;
-//! * the streaming runtime records [`TraceEvent`]s online (behind
-//!   [`crate::stream::StreamOptions::trace`]) — real wall-clock start/end,
-//!   the worker that ran the task, its elimination step and owner node —
-//!   and [`events_to_chrome_trace`] renders them, so windowed runs are
-//!   inspectable in `chrome://tracing` / Perfetto even though no graph
-//!   survives the run.
+//! * [`sim_events`] turns a simulated schedule ([`crate::sim::SimReport`])
+//!   of a materialized graph into one span per executed task, on its
+//!   virtual node;
+//! * [`crate::exec::execute_traced`] records real wall-clock spans of a
+//!   batch execution, with the worker that ran each kernel;
+//! * the streaming runtime records spans online (behind
+//!   [`crate::stream::StreamOptions::trace`]) — start/end, worker,
+//!   elimination step and owner node — so windowed runs are inspectable
+//!   in `chrome://tracing` / Perfetto even though no graph survives the
+//!   run.
 //!
-//! All variants funnel through [`render_chrome_trace`], parameterized by
-//! [`TraceOptions`]: node lanes named from a [`Platform`], a scheduler
-//! policy stamp, and probe counter tracks (`"ph": "C"` events from a
-//! [`ProbeSnapshot`]) merged into the same JSON array so gauges render as
-//! overlay graphs above the task spans.
+//! One renderer, [`render_chrome_trace`], turns any of them into JSON,
+//! parameterized by [`TraceOptions`]: node lanes named from a
+//! [`Platform`], a scheduler policy stamp, and probe counter tracks
+//! (`"ph": "C"` events from a [`ProbeSnapshot`]) merged into the same
+//! array so gauges render as overlay graphs above the task spans.
 
 use std::fmt::Write as _;
 
@@ -44,8 +45,7 @@ pub struct TraceEvent {
 }
 
 /// Rendering knobs for [`render_chrome_trace`]. `Default` renders bare
-/// spans — no lane metadata, no policy stamp, no counter tracks — which
-/// is exactly what [`events_to_chrome_trace`] produces.
+/// spans — no lane metadata, no policy stamp, no counter tracks.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TraceOptions<'a> {
     /// Name each node lane from its spec (`node1 (4c @ 8 GF)`) via
@@ -75,48 +75,11 @@ pub fn step_index(name: &str) -> Option<usize> {
     digits[..end].parse().ok()
 }
 
-/// Render trace spans as Chrome trace-event JSON (times exported in
-/// microseconds; `pid` = node, `tid` = worker, `args.step` = elimination
-/// step when known).
-pub fn events_to_chrome_trace(events: &[TraceEvent]) -> String {
-    render_chrome_trace(events, &TraceOptions::default())
-}
-
-/// Like [`events_to_chrome_trace`], but when a [`Platform`] is given each
-/// node lane is named by its spec — `node1 (4c @ 8 GF)` — via
-/// `process_name` metadata events, so heterogeneous traces read at a
-/// glance in `chrome://tracing` / Perfetto.
-pub fn events_to_chrome_trace_on(events: &[TraceEvent], platform: Option<&Platform>) -> String {
-    render_chrome_trace(
-        events,
-        &TraceOptions {
-            platform,
-            ..TraceOptions::default()
-        },
-    )
-}
-
-/// Like [`events_to_chrome_trace_on`], additionally stamping the active
-/// scheduler policy into each lane's `process_name` metadata —
-/// `node1 (4c @ 8 GF) [eft]` — so a trace says *which schedule* it shows.
-pub fn events_to_chrome_trace_sched(
-    events: &[TraceEvent],
-    platform: Option<&Platform>,
-    policy: Option<SchedPolicy>,
-) -> String {
-    render_chrome_trace(
-        events,
-        &TraceOptions {
-            platform,
-            policy,
-            counters: None,
-        },
-    )
-}
-
 /// The one Chrome trace-event renderer: lane metadata (when a platform is
 /// given), one `"ph": "X"` span per event, then probe counter tracks
-/// (when a snapshot is given) — all in a single JSON array.
+/// (when a snapshot is given) — all in a single JSON array. Times are
+/// exported in microseconds; `pid` = node, `tid` = worker, `args.step` =
+/// elimination step when known.
 pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
@@ -166,41 +129,12 @@ pub fn render_chrome_trace(events: &[TraceEvent], opts: &TraceOptions) -> String
     out
 }
 
-/// Render a simulated schedule as Chrome trace-event JSON.
-///
-/// Discarded tasks are omitted. Each event records its elimination-step
-/// index in `args.step` (when the task name carries one), so step
-/// retirement — the streaming window's unit of memory reclamation — is
-/// visible as a column in the trace viewer.
-pub fn to_chrome_trace(graph: &Graph, sim: &SimReport) -> String {
-    events_to_chrome_trace(&sim_events(graph, sim))
-}
-
-/// [`to_chrome_trace`] with node lanes named by the platform's specs.
-pub fn to_chrome_trace_on(graph: &Graph, sim: &SimReport, platform: &Platform) -> String {
-    events_to_chrome_trace_on(&sim_events(graph, sim), Some(platform))
-}
-
-/// [`to_chrome_trace_on`] with lanes additionally stamped with the
-/// scheduling policy that produced `sim` (pass the policy you simulated
-/// with — the report does not carry it).
-pub fn to_chrome_trace_sched(
-    graph: &Graph,
-    sim: &SimReport,
-    platform: &Platform,
-    policy: SchedPolicy,
-) -> String {
-    events_to_chrome_trace_sched(&sim_events(graph, sim), Some(platform), Some(policy))
-}
-
-/// [`to_chrome_trace`] with full [`TraceOptions`] — the entry point for
-/// probed replays, where counter tracks from a
-/// [`crate::probe::ProbeReport`] snapshot overlay the simulated spans.
-pub fn to_chrome_trace_with(graph: &Graph, sim: &SimReport, opts: &TraceOptions) -> String {
-    render_chrome_trace(&sim_events(graph, sim), opts)
-}
-
-fn sim_events(graph: &Graph, sim: &SimReport) -> Vec<TraceEvent> {
+/// The spans of a simulated schedule, one per executed task, by task id:
+/// `node` is the task's placement and `worker` is 0. Discarded tasks are
+/// omitted. Each span records its elimination-step index (when the task
+/// name carries one), so step retirement — the streaming window's unit
+/// of memory reclamation — is visible as a column in the trace viewer.
+pub fn sim_events(graph: &Graph, sim: &SimReport) -> Vec<TraceEvent> {
     graph
         .tasks
         .iter()
@@ -226,6 +160,10 @@ mod tests {
     use crate::probe::{metric, Label, Probe};
     use crate::sim::simulate;
 
+    fn render(events: &[TraceEvent]) -> String {
+        render_chrome_trace(events, &TraceOptions::default())
+    }
+
     #[test]
     fn trace_contains_executed_tasks_only() {
         let mut b = GraphBuilder::new(2);
@@ -237,7 +175,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(2));
-        let json = to_chrome_trace(&g, &sim);
+        let json = render(&sim_events(&g, &sim));
         assert!(json.contains("\"work\""));
         assert!(!json.contains("\"dead\""));
         assert!(json.trim_start().starts_with('['));
@@ -285,7 +223,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(1));
-        let json = to_chrome_trace(&g, &sim);
+        let json = render(&sim_events(&g, &sim));
         assert!(json.contains("\"args\": {\"step\": 3}"));
         // Tasks without a step keep a well-formed event (no args field).
         assert!(json.contains("\"untagged\""));
@@ -303,7 +241,7 @@ mod tests {
         let g = b.build();
         execute(&g, 1);
         let sim = simulate(&g, &Platform::dancer_nodes(1));
-        let json = to_chrome_trace(&g, &sim);
+        let json = render(&sim_events(&g, &sim));
         // Three events, consecutive, with positive durations.
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 3);
         assert!(!json.contains("\"dur\": 0.000,"));
@@ -325,13 +263,19 @@ mod tests {
             start: 0.0,
             end: 1.0,
         }];
-        let json = events_to_chrome_trace_on(&events, Some(&p));
+        let json = render_chrome_trace(
+            &events,
+            &TraceOptions {
+                platform: Some(&p),
+                ..TraceOptions::default()
+            },
+        );
         assert!(json.contains("\"name\": \"node0 (8c @ 8.52 GF)\""));
         assert!(json.contains("\"name\": \"node1 (4c @ 8 GF)\""));
         assert_eq!(json.matches("\"ph\": \"M\"").count(), 2);
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 1);
         // The metadata-free renderer stays byte-stable.
-        assert!(!events_to_chrome_trace(&events).contains("process_name"));
+        assert!(!render(&events).contains("process_name"));
     }
 
     #[test]
@@ -344,60 +288,11 @@ mod tests {
             start: 0.5,
             end: 1.0,
         }];
-        let json = events_to_chrome_trace(&events);
+        let json = render(&events);
         assert!(json.contains("\"pid\": 3"));
         assert!(json.contains("\"tid\": 2"));
         assert!(json.contains("\"args\": {\"step\": 1}"));
         assert!(json.contains("\"ts\": 500000.000"));
-    }
-
-    #[test]
-    fn legacy_wrappers_match_unified_renderer_bytes() {
-        let p = Platform::dancer_nodes(2);
-        let events = vec![
-            TraceEvent {
-                name: "PANEL(k=0)".into(),
-                node: 0,
-                worker: 0,
-                step: Some(0),
-                start: 0.0,
-                end: 0.5,
-            },
-            TraceEvent {
-                name: "GEMM(1,1,k=0)".into(),
-                node: 1,
-                worker: 1,
-                step: Some(0),
-                start: 0.5,
-                end: 1.25,
-            },
-        ];
-        let unified = render_chrome_trace(
-            &events,
-            &TraceOptions {
-                platform: Some(&p),
-                policy: Some(SchedPolicy::Eft),
-                counters: None,
-            },
-        );
-        assert_eq!(
-            events_to_chrome_trace_sched(&events, Some(&p), Some(SchedPolicy::Eft)),
-            unified
-        );
-        assert_eq!(
-            events_to_chrome_trace_on(&events, Some(&p)),
-            render_chrome_trace(
-                &events,
-                &TraceOptions {
-                    platform: Some(&p),
-                    ..TraceOptions::default()
-                }
-            )
-        );
-        assert_eq!(
-            events_to_chrome_trace(&events),
-            render_chrome_trace(&events, &TraceOptions::default())
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! ```
 
 use luqr::{factor_stream_distributed, Algorithm, Criterion, DistPolicy, FactorOptions};
-use luqr_runtime::Platform;
+use luqr_runtime::{render_chrome_trace, sim_events, Platform, TraceOptions};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -125,7 +125,12 @@ fn main() {
         ..FactorOptions::default()
     };
     let f = luqr::factor(&a_small, &b_small, &opts);
-    let json = f.chrome_trace(&platform);
+    let sim = f.simulate(&platform);
+    let lanes = TraceOptions {
+        platform: Some(&platform),
+        ..TraceOptions::default()
+    };
+    let json = render_chrome_trace(&sim_events(&f.graph, &sim), &lanes);
     let path = std::env::temp_dir().join("luqr_hetero_trace.json");
     std::fs::write(&path, &json).expect("write trace");
     assert!(json.contains("node2 (4c @ 4.26 GF)"), "named lanes missing");

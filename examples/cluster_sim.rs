@@ -8,7 +8,7 @@
 
 use luqr::{factor, Algorithm, Criterion, FactorOptions};
 use luqr_kernels::Mat;
-use luqr_runtime::Platform;
+use luqr_runtime::{render_chrome_trace, sim_events, Platform, TraceOptions};
 use luqr_tile::Grid;
 
 fn main() {
@@ -68,7 +68,12 @@ fn main() {
             ..FactorOptions::default()
         };
         let f = factor(&a, &b, &opts);
-        let json = f.chrome_trace(&platform);
+        let sim = f.simulate(&platform);
+        let lanes = TraceOptions {
+            platform: Some(&platform),
+            ..TraceOptions::default()
+        };
+        let json = render_chrome_trace(&sim_events(&f.graph, &sim), &lanes);
         let path = std::env::temp_dir().join("luqr_trace.json");
         std::fs::write(&path, json).expect("write trace");
         println!(

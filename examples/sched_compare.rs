@@ -42,7 +42,7 @@ use luqr::{
 };
 use luqr_runtime::probe::export::{to_json, to_prometheus};
 use luqr_runtime::probe::metric;
-use luqr_runtime::{Label, Platform};
+use luqr_runtime::{render_chrome_trace, sim_events, Label, Platform, TraceOptions};
 use luqr_tile::Grid;
 
 #[path = "support/mod.rs"]
@@ -248,7 +248,15 @@ fn main() {
     // ---- probed EFT replay: where does the makespan go? ----------------
     let probe = Probe::enabled();
     let sim_opts = SimOptions::with_scheduler(SchedPolicy::Eft);
-    let (trace_json, report) = f.chrome_trace_probed(&platform, &sim_opts, &probe);
+    let (sim, report) = f.simulate_probed(&platform, &sim_opts, &probe);
+    let trace_json = render_chrome_trace(
+        &sim_events(&f.graph, &sim),
+        &TraceOptions {
+            platform: Some(&platform),
+            policy: Some(sim_opts.scheduler),
+            counters: Some(&report.snapshot),
+        },
+    );
     let att = report.attribution.as_ref().expect("probed replay");
     println!(
         "\nEFT makespan attribution ({:.6}s makespan, per node):",

@@ -11,7 +11,7 @@ use luqr::{
     WindowPolicy,
 };
 use luqr_kernels::Mat;
-use luqr_runtime::{Platform, SimReport};
+use luqr_runtime::{render_chrome_trace, Platform, SimReport, TraceOptions};
 use luqr_tile::Grid;
 
 fn system(n: usize, seed: u64) -> (Mat, Mat) {
@@ -347,12 +347,15 @@ fn streaming_trace_export_covers_executed_tasks() {
         nodes_seen.iter().all(|&s| s),
         "2x2 grid must execute on all 4 nodes"
     );
-    let json = f.chrome_trace();
+    let json = render_chrome_trace(&f.report.trace, &TraceOptions::default());
     assert!(json.contains("\"args\": {\"step\": 0}"));
     assert!(json.contains("PANEL(k=0)"));
     // Untraced runs render an empty (but valid) document.
     let untraced = factor_stream(&a, &b, &opts, 2);
-    assert_eq!(untraced.chrome_trace().trim(), "[\n\n]");
+    assert_eq!(
+        render_chrome_trace(&untraced.report.trace, &TraceOptions::default()).trim(),
+        "[\n\n]"
+    );
 }
 
 /// EFT-guided work stealing is strictly opt-in and placement-independent:
@@ -494,8 +497,10 @@ fn recalibration_keeps_numerics_and_protocol_consistency() {
 // Real-transport distributed runs: the simulated protocol, performed.
 // ---------------------------------------------------------------------------
 
-use luqr::net::launch::{launch_multiprocess, LaunchTransport, NetJob};
-use luqr::{factor_stream_net, factor_stream_net_opts, NetTransportKind, Probe};
+use luqr::{
+    factor_stream_net, factor_stream_net_opts, factor_stream_net_rank, NetTransportKind, Probe,
+    TransportError,
+};
 
 /// One real-transport run against its two oracles: the batch factorization
 /// (bitwise numerics) and the *simulated* distributed run on a uniform
@@ -713,46 +718,39 @@ fn net_probed_run_matches_unprobed() {
     );
 }
 
-/// The full stack: four real `luqr-worker` OS processes meshed over UDS
-/// reproduce the simulated run's message statistics exactly and the batch
-/// factorization bitwise.
+/// Options a real transport cannot honour, and a transport set that does
+/// not match the process grid, are typed errors on every rank — not
+/// panics, and not a rank left waiting on a peer.
 #[test]
-fn net_four_worker_uds_processes_match_simulated_run() {
-    let job = NetJob {
-        n: 64,
-        nrhs: 2,
-        seed: 2014,
+fn net_unsupported_configuration_is_a_typed_error() {
+    let opts = FactorOptions {
         nb: 8,
         ib: 4,
-        p: 2,
-        q: 2,
-        threads: 2,
-        window: 2,
+        threads: 1,
+        grid: Grid::new(2, 1),
         algorithm: Algorithm::LuQr(Criterion::Max { alpha: 6.0 }),
+        ..FactorOptions::default()
     };
-    let (a, b) = job.problem();
-    let opts = job.options();
-    let batch = factor(&a, &b, &opts);
-    let dist = factor_stream_distributed(&a, &b, &opts, &Platform::dancer_nodes(4), job.window)
-        .expect("grid fits platform");
-
-    let mp = launch_multiprocess(&job, &LaunchTransport::Uds, None).expect("multi-process run");
-    assert_eq!(mp.error, None);
-    let x = mp.solution.as_ref().expect("rank 0 reports a solution");
-    assert_eq!(batch.solution().max_abs_diff(x), 0.0, "solution diverged");
-
-    assert_eq!(mp.records.len(), dist.stream.records.len());
-    for (rm, rd) in mp.records.iter().zip(&dist.stream.records) {
-        assert_eq!(rm.k, rd.k);
-        assert_eq!(rm.decision, rd.decision, "step {} decision", rm.k);
-        assert_eq!(rm.lhs.to_bits(), rd.lhs.to_bits(), "step {} lhs", rm.k);
-        assert_eq!(rm.rhs.to_bits(), rd.rhs.to_bits(), "step {} rhs", rm.k);
-    }
-    assert_eq!(mp.msgs, dist.stream.report.msgs, "MsgStats diverged");
-    assert_eq!(
-        mp.link_msgs, dist.stream.report.link_msgs,
-        "per-link MsgStats diverged"
+    let (a, b) = system(32, 12);
+    let stealing = StreamOptions::fixed(2, 1).with_stealing();
+    let r = factor_stream_net_opts(&a, &b, &opts, &stealing, &NetTransportKind::Loopback);
+    assert!(
+        matches!(r, Err(TransportError::Protocol(_))),
+        "stealing over a transport: {:?}",
+        r.err()
     );
-    assert!(mp.frames_sent > 0 && mp.frames_received > 0);
-    assert!(mp.payload_bytes_sent > 0 && mp.payload_bytes_received > 0);
+
+    let three_ranks = luqr_runtime::net::loopback::loopback_set(3);
+    let r = factor_stream_net_rank(
+        &a,
+        &b,
+        &opts,
+        &StreamOptions::fixed(2, 1),
+        three_ranks[0].clone(),
+    );
+    assert!(
+        matches!(r, Err(TransportError::Protocol(_))),
+        "3-rank transport on a 2x1 grid: {:?}",
+        r.err()
+    );
 }

@@ -10,7 +10,7 @@ use luqr::{
 };
 use luqr_runtime::probe::export::{chrome_counter_events, to_json, to_prometheus};
 use luqr_runtime::probe::metric;
-use luqr_runtime::{Label, Platform};
+use luqr_runtime::{render_chrome_trace, sim_events, Label, Platform, TraceOptions};
 use luqr_tile::Grid;
 
 fn hybrid_opts(grid: Grid) -> FactorOptions {
@@ -151,10 +151,18 @@ fn export_formats_are_well_formed_on_real_telemetry() {
     let counters = chrome_counter_events(&report.snapshot);
     assert!(counters.trim_start().starts_with('['));
     assert!(counters.contains("\"ph\": \"C\""));
-    let (merged, _) = f.chrome_trace_probed(
+    let (sim, eft) = f.simulate_probed(
         &platform,
         &SimOptions::with_scheduler(SchedPolicy::Eft),
         &Probe::enabled(),
+    );
+    let merged = render_chrome_trace(
+        &sim_events(&f.graph, &sim),
+        &TraceOptions {
+            platform: Some(&platform),
+            policy: Some(SchedPolicy::Eft),
+            counters: Some(&eft.snapshot),
+        },
     );
     assert!(merged.contains("\"ph\": \"X\""));
     assert!(merged.contains("\"ph\": \"C\""));
