@@ -5,7 +5,7 @@
 //! differently: the batch path materializes the full task graph (both
 //! hybrid branches), executes it, then replays it through the
 //! discrete-event simulator; the distributed streaming path plans only the
-//! chosen branch inside a per-node window and advances the virtual clocks
+//! chosen branch inside a node-placed window and advances the virtual clocks
 //! *online*, so no graph is ever materialized. The JSON baseline records,
 //! next to the timings, the memory gap (batch task count vs. streaming
 //! peak live tasks) and the agreement of the two reports (makespan,

@@ -10,13 +10,13 @@
 //! branch is unrolled.
 //!
 //! The source is what carries node-awareness from the algorithm layer into
-//! the runtime: `num_nodes` reports the process grid's extent so the
-//! window splits into per-node sub-windows, `prepare` declares every tile
-//! with its block-cyclic home (the communication model's fetch sources and
-//! byte counts), and the planners place each task on its owner node and
-//! classify the per-step decision datum — which is how the distributed
-//! window knows to account cross-node reads of it as the paper's criterion
-//! broadcast ([`luqr_runtime::DecisionMsg`]).
+//! the runtime: `num_nodes` reports the process grid's extent (the
+//! virtual nodes tasks and data are placed on), `prepare` declares every
+//! tile with its block-cyclic home (the communication model's fetch
+//! sources and byte counts), and the planners place each task on its
+//! owner node and classify the per-step decision datum — which is how the
+//! distributed window knows to account cross-node reads of it as the
+//! paper's criterion broadcast ([`luqr_runtime::DecisionMsg`]).
 
 use luqr_runtime::stream::{StepPhase, StepSource};
 use luqr_runtime::TaskSink;

@@ -294,7 +294,7 @@ impl StreamFactorization {
 }
 
 /// A factorization produced by the **distributed** streaming runtime:
-/// per-node sub-windows exchanging data/decision/retirement messages, with
+/// node-placed tasks exchanging data/decision/retirement messages, with
 /// the platform communication model driven online.
 ///
 /// Numerics are bitwise-identical to [`factor`] and [`factor_stream`];

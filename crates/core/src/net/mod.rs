@@ -2,7 +2,7 @@
 //! executor over actual channels and sockets.
 //!
 //! [`crate::factor_stream_distributed`] *models* a distributed run — one
-//! process, per-node sub-windows, message counters. This module *performs*
+//! process, node-placed tasks, message counters. This module *performs*
 //! one: every rank of the process grid runs its own mirror of the
 //! factorization (same planner, same window, same hazard bookkeeping),
 //! remote tasks degenerate to placement stubs, and the data / decision /

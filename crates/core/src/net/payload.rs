@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 
 use luqr_kernels::incpiv::PairPivot;
 use luqr_kernels::{Mat, TFactor};
-use luqr_runtime::{DataKey, PayloadStore};
+use luqr_runtime::{DataKey, PayloadStore, TransportError};
 use luqr_tile::{TileRef, TiledMatrix};
 
 use crate::builder::{BackupCell, CritCell, DecCell, PanelCell, SharedState, TfCell};
@@ -112,28 +112,27 @@ impl PayloadStore for RegistryStore {
         }
     }
 
-    fn store(&self, key: DataKey, bytes: &[u8]) {
+    fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError> {
         // An empty payload means the producer's cell was empty (nothing to
         // ship); leave the mirror's cell empty too.
         if bytes.is_empty() {
-            return;
+            return Ok(());
         }
         let mut rd = Rd::new(bytes);
         if let Some(tile) = self.tiles.get(&key) {
-            *tile.lock() = rd.mat();
-            rd.finish(key);
-            return;
+            *tile.lock() = rd.mat()?;
+            return rd.finish(key);
         }
-        let slot = self
-            .slot(key)
-            .unwrap_or_else(|| panic!("no payload slot registered for {key:?}"));
+        let slot = self.slot(key).ok_or_else(|| {
+            TransportError::Protocol(format!("no payload slot registered for {key:?}"))
+        })?;
         match slot {
-            PayloadSlot::Tf(c) => *c.lock() = Some(rd.tfactor()),
+            PayloadSlot::Tf(c) => *c.lock() = Some(rd.tfactor()?),
             PayloadSlot::Panel(c) => {
-                let _ = c.set(rd.panel());
+                let _ = c.set(rd.panel()?);
             }
             PayloadSlot::Dec { cell, records, k } => {
-                let (d, rec) = rd.decision();
+                let (d, rec) = rd.decision()?;
                 let _ = cell.set(d);
                 if let Some(rec) = rec {
                     // The decision arrives both broadcast and (on rank 0)
@@ -145,17 +144,17 @@ impl PayloadStore for RegistryStore {
                     }
                 }
             }
-            PayloadSlot::Backup(c) | PayloadSlot::Scratch(c) => *c.lock() = Some(rd.mat()),
+            PayloadSlot::Backup(c) | PayloadSlot::Scratch(c) => *c.lock() = Some(rd.mat()?),
             PayloadSlot::Crit(c) => {
-                let _ = c.set(rd.domain_crit());
+                let _ = c.set(rd.domain_crit()?);
             }
             PayloadSlot::L(c) => {
-                let l = rd.mat();
-                let piv = rd.pivots();
+                let l = rd.mat()?;
+                let piv = rd.pivots()?;
                 let _ = c.set((l, piv));
             }
         }
-        rd.finish(key);
+        rd.finish(key)
     }
 }
 
@@ -201,141 +200,179 @@ fn put_pivots(out: &mut Vec<u8>, vs: &[PairPivot]) {
     }
 }
 
-/// Bounds-checked little-endian reader; payload bytes arrive framed and
-/// length-checked, so a decode failure here is a codec bug — panic loudly.
+/// Bounds-checked little-endian reader over bytes that came from another
+/// process. Every read checks the bytes left, and every length prefix is
+/// checked against them before anything is allocated for it, so a
+/// malformed payload is a [`TransportError::Protocol`], never a panic or
+/// an outsized allocation.
 pub(crate) struct Rd<'a> {
     b: &'a [u8],
     p: usize,
 }
+
+type Decoded<T> = Result<T, TransportError>;
 
 impl<'a> Rd<'a> {
     pub(crate) fn new(b: &'a [u8]) -> Self {
         Rd { b, p: 0 }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        assert!(
-            self.p + n <= self.b.len(),
-            "payload truncated: wanted {} bytes at {}, have {}",
-            n,
-            self.p,
-            self.b.len()
-        );
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(TransportError::Protocol(format!(
+                "payload truncated: wanted {n} bytes at {}, have {}",
+                self.p,
+                self.b.len()
+            )));
+        }
         let s = &self.b[self.p..self.p + n];
         self.p += n;
-        s
+        Ok(s)
     }
 
-    pub(crate) fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    pub(crate) fn u32(&mut self) -> Decoded<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("took 4 bytes"),
+        ))
     }
 
-    pub(crate) fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    pub(crate) fn u64(&mut self) -> Decoded<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("took 8 bytes"),
+        ))
     }
 
-    pub(crate) fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
+    pub(crate) fn f64(&mut self) -> Decoded<f64> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
-    pub(crate) fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+    pub(crate) fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.take(1)?[0])
     }
 
     pub(crate) fn remaining(&self) -> usize {
         self.b.len() - self.p
     }
 
-    fn f64s(&mut self) -> Vec<f64> {
-        let n = self.u64() as usize;
+    /// `count` items of at least `item_bytes` encoded bytes each, checked
+    /// against the bytes left.
+    fn fits(&self, count: u64, item_bytes: usize) -> Decoded<usize> {
+        usize::try_from(count)
+            .ok()
+            .filter(|&n| {
+                n.checked_mul(item_bytes)
+                    .is_some_and(|b| b <= self.remaining())
+            })
+            .ok_or_else(|| {
+                TransportError::Protocol(format!(
+                    "length {count} exceeds the {} payload bytes left",
+                    self.remaining()
+                ))
+            })
+    }
+
+    /// A `u64` length prefix for items of at least `item_bytes` bytes.
+    pub(crate) fn len(&mut self, item_bytes: usize) -> Decoded<usize> {
+        let n = self.u64()?;
+        self.fits(n, item_bytes)
+    }
+
+    fn f64s(&mut self) -> Decoded<Vec<f64>> {
+        let n = self.len(8)?;
         (0..n).map(|_| self.f64()).collect()
     }
 
-    fn usizes(&mut self) -> Vec<usize> {
-        let n = self.u64() as usize;
-        (0..n).map(|_| self.u64() as usize).collect()
+    fn usizes(&mut self) -> Decoded<Vec<usize>> {
+        let n = self.len(8)?;
+        (0..n).map(|_| Ok(self.u64()? as usize)).collect()
     }
 
-    pub(crate) fn pivots(&mut self) -> Vec<PairPivot> {
-        let n = self.u64() as usize;
+    pub(crate) fn pivots(&mut self) -> Decoded<Vec<PairPivot>> {
+        let n = self.len(1)?;
         (0..n)
-            .map(|_| match self.u8() {
-                0 => None,
-                _ => Some(self.u64() as usize),
+            .map(|_| {
+                Ok(match self.u8()? {
+                    0 => None,
+                    _ => Some(self.u64()? as usize),
+                })
             })
             .collect()
     }
 
-    fn finish(self, key: DataKey) {
-        assert_eq!(
-            self.remaining(),
-            0,
-            "trailing bytes after decoding payload for {key:?}"
-        );
-    }
-
-    pub(crate) fn mat(&mut self) -> Mat {
-        let m = self.u32() as usize;
-        let n = self.u32() as usize;
-        let data: Vec<f64> = (0..m * n).map(|_| self.f64()).collect();
-        Mat::from_col_major(m, n, &data)
-    }
-
-    fn tfactor(&mut self) -> TFactor {
-        let ib = self.u32() as usize;
-        TFactor { ib, t: self.mat() }
-    }
-
-    fn panel(&mut self) -> PanelFactorization {
-        let ipiv = self.usizes();
-        let crit = self.panel_crit();
-        let heights = self.usizes();
-        PanelFactorization::new(ipiv, crit, heights)
-    }
-
-    fn panel_crit(&mut self) -> PanelCritData {
-        PanelCritData {
-            inv_norm_recip: self.f64(),
-            below_diag_max_norm1: self.f64(),
-            below_diag_sum_norm1: self.f64(),
-            local_col_max: self.f64s(),
-            pivot_abs: self.f64s(),
+    pub(crate) fn finish(self, key: DataKey) -> Decoded<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(TransportError::Protocol(format!(
+                "{n} trailing bytes after decoding payload for {key:?}"
+            ))),
         }
     }
 
-    fn domain_crit(&mut self) -> DomainCritData {
-        DomainCritData {
-            max_tile_norm1: self.f64(),
-            sum_tile_norm1: self.f64(),
-            col_max: self.f64s(),
-        }
+    pub(crate) fn mat(&mut self) -> Decoded<Mat> {
+        let m = self.u32()? as usize;
+        let n = self.u32()? as usize;
+        let len = self.fits(m as u64 * n as u64, 8)?;
+        let data = (0..len)
+            .map(|_| self.f64())
+            .collect::<Decoded<Vec<f64>>>()?;
+        Ok(Mat::from_col_major(m, n, &data))
     }
 
-    pub(crate) fn record(&mut self) -> StepRecord {
-        StepRecord {
-            k: self.u64() as usize,
-            decision: if self.u8() == 0 {
-                Decision::Lu
-            } else {
-                Decision::Qr
-            },
-            lhs: self.f64(),
-            rhs: self.f64(),
-            panel_norm: self.f64(),
-        }
+    fn tfactor(&mut self) -> Decoded<TFactor> {
+        let ib = self.u32()? as usize;
+        Ok(TFactor { ib, t: self.mat()? })
     }
 
-    fn decision(&mut self) -> (Decision, Option<StepRecord>) {
-        let d = if self.u8() == 0 {
+    fn panel(&mut self) -> Decoded<PanelFactorization> {
+        let ipiv = self.usizes()?;
+        let crit = self.panel_crit()?;
+        let heights = self.usizes()?;
+        Ok(PanelFactorization::new(ipiv, crit, heights))
+    }
+
+    fn panel_crit(&mut self) -> Decoded<PanelCritData> {
+        Ok(PanelCritData {
+            inv_norm_recip: self.f64()?,
+            below_diag_max_norm1: self.f64()?,
+            below_diag_sum_norm1: self.f64()?,
+            local_col_max: self.f64s()?,
+            pivot_abs: self.f64s()?,
+        })
+    }
+
+    fn domain_crit(&mut self) -> Decoded<DomainCritData> {
+        Ok(DomainCritData {
+            max_tile_norm1: self.f64()?,
+            sum_tile_norm1: self.f64()?,
+            col_max: self.f64s()?,
+        })
+    }
+
+    fn lu_or_qr(&mut self) -> Decoded<Decision> {
+        Ok(if self.u8()? == 0 {
             Decision::Lu
         } else {
             Decision::Qr
-        };
-        let rec = match self.u8() {
+        })
+    }
+
+    pub(crate) fn record(&mut self) -> Decoded<StepRecord> {
+        Ok(StepRecord {
+            k: self.u64()? as usize,
+            decision: self.lu_or_qr()?,
+            lhs: self.f64()?,
+            rhs: self.f64()?,
+            panel_norm: self.f64()?,
+        })
+    }
+
+    fn decision(&mut self) -> Decoded<(Decision, Option<StepRecord>)> {
+        let d = self.lu_or_qr()?;
+        let rec = match self.u8()? {
             0 => None,
-            _ => Some(self.record()),
+            _ => Some(self.record()?),
         };
-        (d, rec)
+        Ok((d, rec))
     }
 }
 
@@ -416,7 +453,7 @@ mod tests {
         let m = Mat::random(7, 3, 42);
         let bytes = encode_mat(&m);
         let mut rd = Rd::new(&bytes);
-        let back = rd.mat();
+        let back = rd.mat().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!(m.as_slice(), back.as_slice());
         assert_eq!((m.rows(), m.cols()), (back.rows(), back.cols()));
@@ -433,7 +470,7 @@ mod tests {
         };
         let bytes = encode_decision(Decision::Qr, Some(&rec));
         let mut rd = Rd::new(&bytes);
-        let (d, r) = rd.decision();
+        let (d, r) = rd.decision().unwrap();
         assert_eq!(rd.remaining(), 0);
         assert_eq!(d, Decision::Qr);
         let r = r.unwrap();
@@ -447,6 +484,37 @@ mod tests {
         let mut out = Vec::new();
         put_pivots(&mut out, &piv);
         let mut rd = Rd::new(&out);
-        assert_eq!(rd.pivots(), piv);
+        assert_eq!(rd.pivots().unwrap(), piv);
+    }
+
+    /// Payload bytes come from a peer: malformed ones are typed errors,
+    /// not panics, and no length prefix is trusted for an allocation.
+    #[test]
+    fn malformed_peer_payloads_are_protocol_errors() {
+        let aug = TiledMatrix::zeros(4, 4, 4);
+        let shared = SharedState::default();
+        shared.payloads.lock().insert(
+            keys::pivots(0),
+            PayloadSlot::Panel(Arc::new(std::sync::OnceLock::new())),
+        );
+        let store = RegistryStore::new(&aug, &shared);
+        let tile = encode_mat(&Mat::random(4, 4, 1));
+        let mut huge_len = Vec::new();
+        put_u64(&mut huge_len, u64::MAX / 2);
+        let mut trailing = tile.clone();
+        trailing.push(0);
+        for (what, key, bytes) in [
+            ("truncated tile", keys::tile(0, 0), &tile[..tile.len() - 3]),
+            ("oversized length prefix", keys::pivots(0), &huge_len[..]),
+            ("trailing bytes", keys::tile(0, 0), &trailing[..]),
+            ("unknown key", keys::decision(9), &tile[..]),
+        ] {
+            assert!(
+                matches!(store.store(key, bytes), Err(TransportError::Protocol(_))),
+                "{what}"
+            );
+        }
+        // A well-formed tile still lands.
+        store.store(keys::tile(0, 0), &tile).unwrap();
     }
 }

@@ -419,33 +419,6 @@ fn locate(spans: &[(usize, usize)], pos: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// Row interchanges + top triangular solve on one trailing column of the
-/// panel's row set (the fine-grained *Apply* used by the task graph: the
-/// per-tile Schur updates `A_ij -= L21_i · U_kj` are separate GEMM tasks).
-///
-/// `l11` is the factored diagonal tile (unit-lower factor in its strictly
-/// lower part); `col_tiles` are the panel rows of column `j`, diagonal row
-/// first. After this, `col_tiles[0]`'s top holds `U_kj`.
-pub fn swap_trsm_column(l11: &Mat, ipiv: &[usize], col_tiles: &mut [&mut Mat]) {
-    let heights: Vec<usize> = col_tiles.iter().map(|t| t.rows()).collect();
-    let mut c = stack(&col_tiles.iter().map(|t| &**t).collect::<Vec<_>>());
-    laswp(&mut c, ipiv, 0, ipiv.len());
-    let steps = ipiv.len().min(l11.cols()).min(l11.rows());
-    let l_top = l11.sub(0, 0, steps, steps);
-    let mut top = c.sub(0, 0, steps, c.cols());
-    trsm(
-        Side::Left,
-        UpLo::Lower,
-        Trans::NoTrans,
-        Diag::Unit,
-        1.0,
-        &l_top,
-        &mut top,
-    );
-    c.set_sub(0, 0, &top);
-    unstack(&c, &heights, col_tiles);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,46 +619,6 @@ mod tests {
             stack(&[&top, &t1, &t2])
         };
         assert_eq!(run(true).max_abs_diff(&run(false)), 0.0);
-    }
-
-    #[test]
-    fn swap_trsm_plus_tile_gemms_equals_coarse_apply() {
-        // The fine-grained path (swap_trsm_column + per-tile GEMMs) must
-        // produce exactly what apply_panel_to_column does.
-        let nb = 8;
-        let mut panel_tiles = make_tiles(&[nb, nb, nb], nb, 31);
-        let mut refs: Vec<&mut Mat> = panel_tiles.iter_mut().collect();
-        let pf = factor_diagonal_domain(&mut refs, 4).unwrap();
-
-        let col0 = make_tiles(&[nb, nb, nb], 5, 33);
-        // Coarse path.
-        let mut coarse = col0.clone();
-        {
-            let l_refs: Vec<&Mat> = panel_tiles.iter().collect();
-            let mut c_refs: Vec<&mut Mat> = coarse.iter_mut().collect();
-            apply_panel_to_column(&l_refs, &pf.ipiv, &mut c_refs);
-        }
-        // Fine path.
-        let mut fine = col0.clone();
-        {
-            let mut c_refs: Vec<&mut Mat> = fine.iter_mut().collect();
-            swap_trsm_column(&panel_tiles[0], &pf.ipiv, &mut c_refs);
-        }
-        let u_kj = fine[0].clone();
-        for i in 1..3 {
-            gemm(
-                Trans::NoTrans,
-                Trans::NoTrans,
-                -1.0,
-                &panel_tiles[i],
-                &u_kj,
-                1.0,
-                &mut fine[i],
-            );
-        }
-        for (a, b) in fine.iter().zip(&coarse) {
-            assert!(a.max_abs_diff(b) < 1e-12);
-        }
     }
 
     #[test]

@@ -946,15 +946,6 @@ fn right_solve(uplo: UpLo, trans: Trans, unit: bool, a: &Mat, b: &mut Mat) {
     }
 }
 
-/// Triangular matrix multiply `B <- op(A) * B` with `A` triangular, from the
-/// left (dtrmm, side=Left). Used by the blocked Householder applications.
-pub fn trmm_left(uplo: UpLo, trans: Trans, diag: Diag, a: &Mat, b: &mut Mat) {
-    let n = b.cols();
-    for j in 0..n {
-        trmv(uplo, trans, diag, a, b.col_mut(j));
-    }
-}
-
 /// Triangular matrix-vector product `x <- op(A) x` with `A` triangular
 /// (dtrmv). Used by the T-factor construction in the QR kernels.
 pub fn trmv(uplo: UpLo, trans: Trans, diag: Diag, a: &Mat, x: &mut [f64]) {

@@ -149,16 +149,6 @@ impl Mat {
         self.data.fill(v);
     }
 
-    /// Reshape in place to `m x n`, zero-filled, reusing the allocation
-    /// (capacity grows monotonically; scratch buffers stay warm across
-    /// calls instead of cycling through the allocator).
-    pub fn reset_zeroed(&mut self, m: usize, n: usize) {
-        self.m = m;
-        self.n = n;
-        self.data.clear();
-        self.data.resize(m * n, 0.0);
-    }
-
     /// Reshape in place to the vertical stack of `parts` (which must share
     /// a column count), reusing the allocation. Every entry is written by
     /// the copy, so no zero fill is needed.

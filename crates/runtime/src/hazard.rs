@@ -2,7 +2,7 @@
 //!
 //! Three subsystems infer RAW / WAR / WAW dependence edges from declared
 //! data accesses: the batch [`crate::graph::GraphBuilder`], the streaming
-//! window's per-node datum directories (`stream/window.rs`), and the
+//! window's datum directory (`stream/window.rs`), and the
 //! policy-driven [`crate::sched::SchedEngine`]. They used to carry three
 //! hand-kept copies of the same rules; this module is the shared core all
 //! three now call, parameterized over the writer payload `W` each client

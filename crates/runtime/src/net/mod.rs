@@ -90,11 +90,12 @@ pub trait Transport: Send + Sync {
 ///
 /// `load` snapshots the current contents of `key`'s cell as wire bytes
 /// (`None` when the cell is empty — nothing to ship); `store` decodes
-/// wire bytes into the cell. Implementations must be callable from any
-/// runtime thread.
+/// wire bytes into the cell. The bytes come from a peer, so `store`
+/// reports a payload it cannot decode as [`TransportError::Protocol`].
+/// Implementations must be callable from any runtime thread.
 pub trait PayloadStore: Send + Sync {
     fn load(&self, key: DataKey) -> Option<Vec<u8>>;
-    fn store(&self, key: DataKey, bytes: &[u8]);
+    fn store(&self, key: DataKey, bytes: &[u8]) -> Result<(), TransportError>;
 }
 
 /// Wire-level traffic totals of one rank's run, reported alongside the

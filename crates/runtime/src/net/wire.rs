@@ -73,25 +73,6 @@ const KIND_DONE: u8 = 5;
 const KIND_FIN: u8 = 6;
 const KIND_SHUTDOWN: u8 = 7;
 
-impl Frame {
-    /// The protocol-message kind this frame mirrors, if any (`Data` splits
-    /// by class); control frames return `None`.
-    pub fn msg_kind(&self) -> Option<&'static str> {
-        match self {
-            Frame::Data {
-                class: DataClass::Payload,
-                ..
-            } => Some("data"),
-            Frame::Data {
-                class: DataClass::Decision,
-                ..
-            } => Some("decision"),
-            Frame::Retire { .. } => Some("retire"),
-            _ => None,
-        }
-    }
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }

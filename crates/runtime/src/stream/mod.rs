@@ -19,9 +19,9 @@
 //!   can now consult fresh data and insert **only the chosen branch**
 //!   instead of both branches statically.
 //!
-//! The window is split per virtual node ([`window`]): each node holds the
-//! live records of its owner-computes tasks and the hazard directories of
-//! its homed data; cross-node progress flows through [`crate::comm`]
+//! The [`window`] is one live-task table, one datum directory and one
+//! ready queue; each task carries its owner-computes node and each datum
+//! its home, and cross-node progress flows through [`crate::comm`]
 //! message records. Passing a [`Platform`] in [`StreamOptions`] drives the
 //! communication model *online*: per-node virtual clocks advance as the
 //! window drains and the run emits a [`SimReport`]-compatible summary —
@@ -497,27 +497,7 @@ fn drive(
     if let Some(e) = run_err {
         return Err(e);
     }
-    let stats = win.stats();
-    Ok(StreamReport {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        steps,
-        tasks_planned: stats.tasks_planned,
-        tasks_executed: stats.tally.executed,
-        tasks_discarded: stats.tally.discarded,
-        total_flops: stats.tally.flops,
-        peak_live_tasks: stats.peak_live_tasks,
-        peak_live_steps: stats.peak_live_steps,
-        per_step_tasks: stats.per_step_tasks,
-        per_step_window,
-        steals: stats.steals,
-        steal_kept: stats.steal_kept,
-        msgs: stats.msgs,
-        link_msgs: stats.link_msgs,
-        sim: stats.sim,
-        trace: stats.trace,
-        scheduler: opts.scheduler,
-        net: stats.net,
-    })
+    Ok(win.report(start, steps, per_step_window, opts.scheduler))
 }
 
 #[cfg(test)]
@@ -868,6 +848,86 @@ mod tests {
         assert_eq!(report.msgs.data_msgs, 1, "one initial fetch, to node 0");
         let sim = report.sim.expect("platform given");
         assert_eq!(sim.messages, 1);
+    }
+
+    /// Workers pop the deepest ready task first, ties to the lower id,
+    /// regardless of which node the task is placed on.
+    #[test]
+    fn pop_order_is_deepest_first_then_lowest_id_across_nodes() {
+        struct PopOrder {
+            log: Arc<parking_lot::Mutex<Vec<String>>>,
+        }
+        impl PopOrder {
+            fn task(&self, name: &str) -> impl FnOnce() -> TaskResult + Send + 'static {
+                let (log, name) = (Arc::clone(&self.log), name.to_string());
+                move || {
+                    log.lock().push(name);
+                    TaskResult::executed(1.0, CostClass::Gemm)
+                }
+            }
+        }
+        impl StepSource for PopOrder {
+            fn num_steps(&self) -> usize {
+                1
+            }
+            fn num_nodes(&self) -> usize {
+                2
+            }
+            fn prepare(&mut self, sink: &mut dyn TaskSink) {
+                sink.declare(k(0), 8, 0); // K
+                sink.declare(k(1), 8, 0); // G
+            }
+            fn plan_prelude(&mut self, _s: usize, sink: &mut dyn TaskSink) -> StepPhase {
+                // A depth-3 chain on K; awaiting its tail means it has
+                // completed before any reader below is inserted.
+                let mut last = 0;
+                for i in 0..3 {
+                    last = sink
+                        .insert(format!("k{i}"), 0)
+                        .writes(k(0))
+                        .spawn(self.task(&format!("k{i}")));
+                }
+                StepPhase::AwaitDecision(last)
+            }
+            fn plan_finish(&mut self, _s: usize, sink: &mut dyn TaskSink) {
+                // The root R holds the only worker until every reader is
+                // inserted, so all readers become ready at once.
+                let (tx, rx) = std::sync::mpsc::channel::<()>();
+                let run = self.task("R");
+                sink.insert("R", 0).writes(k(1)).spawn(move || {
+                    rx.recv().expect("planner releases R");
+                    run()
+                });
+                // Readers of G on both nodes; those also reading K fold
+                // the completed chain's depth (cp 4), the others sit at
+                // cp 2.
+                for (name, node, deep) in [
+                    ("a", 1, false),
+                    ("b", 1, true),
+                    ("c", 0, false),
+                    ("d", 0, true),
+                    ("e", 1, true),
+                    ("f", 0, false),
+                ] {
+                    let mut t = sink.insert(name, node).reads(k(1));
+                    if deep {
+                        t = t.reads(k(0));
+                    }
+                    t.spawn(self.task(name));
+                }
+                tx.send(()).expect("R is waiting");
+            }
+        }
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut src = PopOrder {
+            log: Arc::clone(&log),
+        };
+        let report = execute_with(&mut src, &StreamOptions::fixed(1, 1));
+        assert_eq!(report.tasks_executed, 10);
+        assert_eq!(
+            *log.lock(),
+            ["k0", "k1", "k2", "R", "b", "d", "e", "a", "c", "f"]
+        );
     }
 
     #[test]

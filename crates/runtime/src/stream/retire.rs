@@ -9,8 +9,8 @@
 //! counts, the live-step population the planner gates on, and the peak
 //! statistics the reports expose.
 //!
-//! With per-node sub-windows the counts are additionally split by owner
-//! node: when one node's share of a closed step drains, that node reports
+//! The counts are additionally split by each task's owner node: when one
+//! node's share of a closed step drains, that node reports
 //! it (a [`crate::comm::RetireMsg`] in the distributed protocol), and the
 //! step retires once every participating node has reported.
 
@@ -35,7 +35,7 @@ struct StepStat {
 #[derive(Debug, Default)]
 pub(crate) struct StepEvent {
     /// The completing node's share of the (closed) step just drained: it
-    /// reports retirement of its sub-window slice.
+    /// reports retirement of its tasks of the step.
     pub node_drained: Option<usize>,
     /// Every node reported: the step retired and planner capacity opened.
     pub retired: bool,

@@ -1,6 +1,6 @@
-//! The streaming window, split into per-node sub-windows: a live task
-//! graph that grows at the planning edge and shrinks at the completion
-//! edge, with cross-node progress flowing through explicit messages.
+//! The streaming window: a live task graph that grows at the planning
+//! edge and shrinks at the completion edge, with cross-node progress
+//! flowing through explicit messages.
 //!
 //! [`StreamWindow`] accepts task insertions through the same [`TaskSink`]
 //! surface as the batch [`crate::graph::GraphBuilder`] and infers the same
@@ -13,11 +13,12 @@
 //! metadata stays bounded by the declared data plus the live window, not
 //! by the factorization's O(N³) task count.
 //!
-//! **Distribution.** Each virtual node owns a [`NodeWindow`]: the live
-//! records and ready queue of the tasks *placed* on it (owner-computes),
-//! plus the hazard directory of the data *homed* on it. A dependency
-//! between tasks on the same node is a direct edge inside that
-//! sub-window; a cross-node dependency is satisfied by a routed message
+//! **Distribution.** The window holds one datum directory, one live-task
+//! table and one ready queue; the virtual node is a field of each record
+//! (a task's placement, a datum's home). Workers pop the deepest ready
+//! task whatever its node. The node decides what a dependency costs: an
+//! edge between tasks on the same node is free, while a cross-node
+//! dependency is satisfied by a routed message
 //! ([`crate::comm::Msg`]): the producer's completion delivers a
 //! [`crate::comm::DataMsg`] once per destination node (consumers there
 //! share the cached copy — and late consumers of an already-completed
@@ -48,13 +49,12 @@ use crate::hazard::{HazardCell, Writer};
 use crate::net::{Frame, NetReport, PayloadStore, Transport, TransportError};
 use crate::platform::Platform;
 use crate::probe::{metric, Histogram, Label, Probe};
-use crate::sched::SchedEngine;
-use crate::sim::SimReport;
+use crate::sched::{SchedEngine, SchedPolicy};
 use crate::trace::TraceEvent;
 
 use super::priority::ReadyQueue;
 use super::retire::StepLedger;
-use super::{NetConfig, StreamOptions};
+use super::{NetConfig, StreamOptions, StreamReport};
 
 /// Scheduling lookahead of the online virtual-time engine: how many
 /// completed-but-unscheduled task records the policy may hold for choice.
@@ -92,9 +92,8 @@ struct ExecVersion {
     sent: HashSet<usize>,
 }
 
-/// Per-datum directory entry, held by the sub-window of the datum's home
-/// node: declaration metadata, hazard state, and the once-per-destination
-/// transfer cache of the last executed version.
+/// Per-datum directory entry: declaration metadata, hazard state, and the
+/// once-per-destination transfer cache of the last executed version.
 #[derive(Debug)]
 struct DatumDir {
     bytes: usize,
@@ -144,8 +143,8 @@ struct NetState {
     /// Inbound payloads by `(datum, producer)`; `producer == None` is an
     /// initial fetch from the datum's home.
     arrivals: HashMap<ArrivalKey, Arrival>,
-    /// Local tasks blocked on a not-yet-arrived input: `(task, node)`.
-    waiters: HashMap<ArrivalKey, Vec<(TaskId, usize)>>,
+    /// Local tasks blocked on a not-yet-arrived input.
+    waiters: HashMap<ArrivalKey, Vec<TaskId>>,
     /// Decision-writing tasks by id: `(decision datum, written locally)`.
     /// The driver consults this to await the *applied* decision (not just
     /// the stub's completion) before planning the rest of the step.
@@ -197,10 +196,13 @@ impl NetState {
     }
 
     /// Decode an arrived payload into the local mirror (timed into the
-    /// deserialize histogram).
+    /// deserialize histogram). A payload that does not decode fails the
+    /// run.
     fn store_payload(&mut self, key: DataKey, bytes: &[u8]) {
         let t0 = Instant::now();
-        self.store.store(key, bytes);
+        if let Err(e) = self.store.store(key, bytes) {
+            self.fail(e);
+        }
         self.de_hist.observe(t0.elapsed().as_secs_f64());
     }
 }
@@ -215,12 +217,12 @@ pub(crate) enum FramePump {
 struct LiveTask {
     name: String,
     step: usize,
+    /// The node the task is placed on.
+    node: usize,
     cp: u64,
     preds_remaining: usize,
-    /// Successors placed on the same node (direct edges).
-    local_succs: Vec<TaskId>,
-    /// Remote successors released by message: (consumer, consumer node).
-    remote_releases: Vec<(TaskId, usize)>,
+    /// Live tasks that wait on this one; each is released at completion.
+    succs: Vec<TaskId>,
     /// Data transfers owed at completion: (key, destination, bytes,
     /// class), deduplicated per (key, destination).
     pending_sends: Vec<(DataKey, usize, usize, DataClass)>,
@@ -231,14 +233,6 @@ struct LiveTask {
     /// mirror when the task is popped for execution.
     net_needs: Vec<(DataKey, Option<TaskId>)>,
     kernel: Option<Kernel>,
-}
-
-/// One virtual node's share of the window.
-#[derive(Default)]
-struct NodeWindow {
-    live: HashMap<TaskId, LiveTask>,
-    ready: ReadyQueue,
-    directory: HashMap<DataKey, DatumDir>,
 }
 
 /// Online virtual-time state: completed tasks are *submitted* to the
@@ -329,11 +323,11 @@ impl CalibState {
 
 pub(crate) struct WindowState {
     next_id: TaskId,
-    nodes: Vec<NodeWindow>,
-    /// Home node of every declared datum (the directory locator).
-    home_of: HashMap<DataKey, usize>,
-    /// Node of every live task (global liveness index).
-    live_nodes: HashMap<TaskId, usize>,
+    /// Planned tasks that have not completed yet.
+    live: HashMap<TaskId, LiveTask>,
+    /// Live tasks with no predecessor left, deepest critical path first.
+    ready: ReadyQueue,
+    directory: HashMap<DataKey, DatumDir>,
     pub(crate) ledger: StepLedger,
     planning_done: bool,
     pub(crate) tally: Tally,
@@ -373,22 +367,6 @@ fn net_failed(st: &WindowState) -> bool {
     st.net.as_ref().is_some_and(|n| n.error.is_some())
 }
 
-/// Final statistics of one streaming run.
-pub(crate) struct WindowStats {
-    pub tally: Tally,
-    pub steals: u64,
-    pub steal_kept: u64,
-    pub tasks_planned: usize,
-    pub peak_live_tasks: usize,
-    pub peak_live_steps: usize,
-    pub per_step_tasks: Vec<usize>,
-    pub msgs: MsgStats,
-    pub link_msgs: Vec<LinkMsgStats>,
-    pub sim: Option<SimReport>,
-    pub trace: Vec<TraceEvent>,
-    pub net: Option<NetReport>,
-}
-
 impl WindowState {
     /// Drop reader entries whose tasks have completed, folding their
     /// critical-path depth into the per-key scalar. Run at every step
@@ -397,12 +375,24 @@ impl WindowState {
     /// hazard metadata proportional to the *total* task count, defeating
     /// the window's memory bound.
     fn prune_completed_readers(&mut self) {
-        let live = &self.live_nodes;
-        for nw in &mut self.nodes {
-            for dir in nw.directory.values_mut() {
-                dir.hazard.readers.prune(|id| live.contains_key(&id));
-            }
+        let live = &self.live;
+        for dir in self.directory.values_mut() {
+            dir.hazard.readers.prune(|id| live.contains_key(&id));
         }
+    }
+
+    /// One predecessor of live task `id` (a completed task or an arrived
+    /// input) is satisfied; the task joins the ready queue when none is
+    /// left. Returns whether it did.
+    fn release(&mut self, id: TaskId) -> bool {
+        let t = self.live.get_mut(&id).expect("released task is live");
+        debug_assert!(t.preds_remaining >= 1, "dependency underflow");
+        t.preds_remaining -= 1;
+        let ready = t.preds_remaining == 0;
+        if ready {
+            self.ready.push(t.cp, id, t.node);
+        }
+        ready
     }
 
     /// Record a protocol message — and, in net mode, put the frames this
@@ -482,8 +472,8 @@ impl WindowState {
     }
 }
 
-/// Shared streaming execution state (per-node sub-windows + scheduler
-/// queues + the online communication/virtual-time accounting).
+/// Shared streaming execution state (live tasks, datum directory, ready
+/// queue, and the online communication/virtual-time accounting).
 pub struct StreamWindow {
     num_nodes: usize,
     state: Mutex<WindowState>,
@@ -519,9 +509,9 @@ impl StreamWindow {
             num_nodes,
             state: Mutex::new(WindowState {
                 next_id: 0,
-                nodes: (0..num_nodes).map(|_| NodeWindow::default()).collect(),
-                home_of: HashMap::new(),
-                live_nodes: HashMap::new(),
+                live: HashMap::new(),
+                ready: ReadyQueue::default(),
+                directory: HashMap::new(),
                 ledger: StepLedger::new(num_nodes),
                 planning_done: false,
                 tally: Tally::default(),
@@ -642,7 +632,7 @@ impl StreamWindow {
     pub fn wait_for_task(&self, id: TaskId) {
         let mut st = self.lock();
         assert!(id < st.next_id, "waiting on a task that was never planned");
-        while st.live_nodes.contains_key(&id) && !net_failed(&st) {
+        while st.live.contains_key(&id) && !net_failed(&st) {
             st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -657,7 +647,7 @@ impl StreamWindow {
     /// Block until every planned task has completed.
     pub fn wait_drained(&self) {
         let mut st = self.lock();
-        while !st.live_nodes.is_empty() && !net_failed(&st) {
+        while !st.live.is_empty() && !net_failed(&st) {
             st = self.plan_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -676,11 +666,19 @@ impl StreamWindow {
     /// Live task records right now (the auto-window policy's memory
     /// signal).
     pub fn live_tasks(&self) -> usize {
-        self.lock().live_nodes.len()
+        self.lock().live.len()
     }
 
-    /// Final statistics (call after [`StreamWindow::wait_drained`]).
-    pub(crate) fn stats(&self) -> WindowStats {
+    /// The run's report (call once, after [`StreamWindow::wait_drained`]).
+    /// The driver supplies what it owns: the run's start, its step count,
+    /// the window in force per step, and the configured scheduler.
+    pub(crate) fn report(
+        &self,
+        start: Instant,
+        steps: usize,
+        per_step_window: Vec<usize>,
+        scheduler: SchedPolicy,
+    ) -> StreamReport {
         let mut st = self.lock();
         if let Some(v) = &mut st.vtime {
             debug_assert!(v.pending.is_empty(), "virtual time lagging the drain");
@@ -759,7 +757,7 @@ impl StreamWindow {
                 // Per-link payload traffic on the probe comes from the
                 // virtual-time network (COMM_LINK_*); here we count the
                 // *protocol* messages by kind, links included via
-                // `WindowStats::link_msgs`.
+                // `StreamReport::link_msgs`.
                 for (kind, n) in [
                     ("data", totals.data_msgs),
                     ("decision", totals.decision_msgs),
@@ -804,14 +802,18 @@ impl StreamWindow {
                 }
             });
         }
-        WindowStats {
-            tally: st.tally.clone(),
-            steals: st.steals,
-            steal_kept: st.steal_kept,
+        StreamReport {
+            steps,
             tasks_planned: st.tasks_planned,
+            tasks_executed: st.tally.executed,
+            tasks_discarded: st.tally.discarded,
+            total_flops: st.tally.flops,
             peak_live_tasks: st.peak_live_tasks,
             peak_live_steps: st.ledger.peak_live_steps,
-            per_step_tasks: st.ledger.per_step_planned.clone(),
+            per_step_tasks: std::mem::take(&mut st.ledger.per_step_planned),
+            per_step_window,
+            steals: st.steals,
+            steal_kept: st.steal_kept,
             msgs: st.msgs,
             link_msgs: st
                 .link_msgs
@@ -819,8 +821,10 @@ impl StreamWindow {
                 .map(|(&(src, dst), &msgs)| LinkMsgStats { src, dst, msgs })
                 .collect(),
             sim: st.vtime.as_ref().map(|v| v.engine.report()),
-            trace: st.trace.clone().unwrap_or_default(),
+            trace: st.trace.take().unwrap_or_default(),
+            scheduler,
             net: net_report,
+            wall_seconds: start.elapsed().as_secs_f64(),
         }
     }
 
@@ -828,49 +832,31 @@ impl StreamWindow {
 
     fn declare(&self, key: DataKey, bytes: usize, home_node: usize) {
         assert!(home_node < self.num_nodes);
-        let mut st = self.lock();
-        match st.home_of.get(&key) {
-            Some(&host) => {
-                // Redeclaration updates the declaration (size *and* home,
-                // mirroring GraphBuilder::declare's overwrite) but keeps
-                // the hazard state. The directory entry itself stays on
-                // the node that first hosted it — `home_of` is an internal
-                // locator; `dir.home` is what access snapshots and
-                // initial-fetch sources read.
-                let dir = st.nodes[host]
-                    .directory
-                    .get_mut(&key)
-                    .expect("declared datum has a directory entry");
+        // Redeclaration updates the declaration (size *and* home,
+        // mirroring GraphBuilder::declare's overwrite) but keeps the hazard
+        // state.
+        self.lock()
+            .directory
+            .entry(key)
+            .and_modify(|dir| {
                 dir.bytes = bytes;
                 dir.home = home_node;
-            }
-            None => {
-                st.home_of.insert(key, home_node);
-                st.nodes[home_node].directory.insert(
-                    key,
-                    DatumDir {
-                        bytes,
-                        home: home_node,
-                        class: DataClass::Payload,
-                        hazard: DirCell::default(),
-                        exec: None,
-                        initial_fetched: HashSet::new(),
-                    },
-                );
-            }
-        }
+            })
+            .or_insert_with(|| DatumDir {
+                bytes,
+                home: home_node,
+                class: DataClass::Payload,
+                hazard: DirCell::default(),
+                exec: None,
+                initial_fetched: HashSet::new(),
+            });
     }
 
     fn declare_class(&self, key: DataKey, class: DataClass) {
-        let mut st = self.lock();
-        let home = *st
-            .home_of
-            .get(&key)
-            .unwrap_or_else(|| panic!("classifying undeclared data {key:?}"));
-        st.nodes[home]
+        self.lock()
             .directory
             .get_mut(&key)
-            .expect("declared datum has a directory entry")
+            .unwrap_or_else(|| panic!("classifying undeclared data {key:?}"))
             .class = class;
     }
 
@@ -891,11 +877,11 @@ impl StreamWindow {
         let id = st.next_id;
         st.next_id += 1;
 
-        // Pass 1: consult the per-datum directories (each homed on one
-        // node's sub-window) for hazard predecessors and the critical-path
-        // depth over *all* of them (completed predecessors contribute
-        // depth but no edge) — the shared [`crate::hazard`] core, the same
-        // rules as GraphBuilder::push_boxed.
+        // Pass 1: consult the datum directory for hazard predecessors and
+        // the critical-path depth over *all* of them (completed
+        // predecessors contribute depth but no edge) — the shared
+        // [`crate::hazard`] core, the same rules as
+        // GraphBuilder::push_boxed.
         let mut preds: Vec<TaskId> = Vec::new();
         let mut max_pred_cp = 0u64;
         let mut costed: Vec<CostedAccess> = Vec::with_capacity(accesses.len());
@@ -907,14 +893,10 @@ impl StreamWindow {
         let mut wrote_decision: Option<DataKey> = None;
         for acc in accesses {
             let key = acc.key();
-            let home = *st
-                .home_of
-                .get(&key)
-                .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{name}'"));
-            let dir = st.nodes[home]
+            let dir = st
                 .directory
                 .get(&key)
-                .expect("declared datum has a directory entry");
+                .unwrap_or_else(|| panic!("access to undeclared data {key:?} by task '{name}'"));
             costed.push(CostedAccess {
                 access: *acc,
                 bytes: dir.bytes,
@@ -994,8 +976,7 @@ impl StreamWindow {
                 let (producer, src) = match writer {
                     Some(w) if w.meta.done.is_none() => (Some(w.id), w.meta.node),
                     _ => {
-                        let host = st.home_of[&key];
-                        let dir = st.nodes[host].directory.get(&key).expect("declared");
+                        let dir = &st.directory[&key];
                         match &dir.exec {
                             Some(v) => (Some(v.id), v.node),
                             None => (None, dir.home),
@@ -1013,10 +994,7 @@ impl StreamWindow {
                     // owed transfer even when producer and consumer share
                     // a node — a later discard reroutes it to an executed
                     // version that may live elsewhere.
-                    let pt = st.nodes[w.meta.node]
-                        .live
-                        .get_mut(&w.id)
-                        .expect("undone writer is live");
+                    let pt = st.live.get_mut(&w.id).expect("undone writer is live");
                     if !pt
                         .pending_sends
                         .iter()
@@ -1031,11 +1009,9 @@ impl StreamWindow {
 
         // Pass 2: update the directories in access order.
         for acc in accesses {
-            let key = acc.key();
-            let home = st.home_of[&key];
-            let dir = st.nodes[home]
+            let dir = st
                 .directory
-                .get_mut(&key)
+                .get_mut(&acc.key())
                 .expect("declared datum has a directory entry");
             match acc {
                 Access::Read(_) => dir.hazard.note_read(id, cp),
@@ -1047,20 +1023,12 @@ impl StreamWindow {
         }
 
         // Pass 3: wire precedence. Only edges to still-live tasks count
-        // toward the countdown; same-node edges stay inside the
-        // sub-window, cross-node edges are released by message on the
-        // predecessor's completion.
-        let live = &st.live_nodes;
+        // toward the countdown.
+        let live = &st.live;
         crate::hazard::finalize_preds(&mut preds, id, |p| live.contains_key(&p));
         let mut preds_remaining = preds.len();
         for &p in &preds {
-            let pnode = st.live_nodes[&p];
-            let pt = st.nodes[pnode].live.get_mut(&p).expect("retained pred");
-            if pnode == node {
-                pt.local_succs.push(id);
-            } else {
-                pt.remote_releases.push((id, node));
-            }
+            st.live.get_mut(&p).expect("retained pred").succs.push(id);
         }
 
         // Net mode: gate on not-yet-arrived remote inputs (one extra
@@ -1068,10 +1036,7 @@ impl StreamWindow {
         if let Some(net) = &mut st.net {
             for &(key, producer) in &net_needs {
                 if !net.arrivals.contains_key(&(key, producer)) {
-                    net.waiters
-                        .entry((key, producer))
-                        .or_default()
-                        .push((id, node));
+                    net.waiters.entry((key, producer)).or_default().push(id);
                     preds_remaining += 1;
                 }
             }
@@ -1080,29 +1045,28 @@ impl StreamWindow {
             }
         }
 
-        st.nodes[node].live.insert(
+        st.live.insert(
             id,
             LiveTask {
                 name,
                 step,
+                node,
                 cp,
                 preds_remaining,
-                local_succs: Vec::new(),
-                remote_releases: Vec::new(),
+                succs: Vec::new(),
                 pending_sends: Vec::new(),
                 accesses: costed,
                 net_needs,
                 kernel: Some(kernel),
             },
         );
-        st.live_nodes.insert(id, node);
         st.tasks_planned += 1;
         st.ledger.on_planned(step, node);
-        let live_now = st.live_nodes.len();
+        let live_now = st.live.len();
         st.peak_live_tasks = st.peak_live_tasks.max(live_now);
         let ready_now = preds_remaining == 0;
         if ready_now {
-            st.nodes[node].ready.push(cp, id, node);
+            st.ready.push(cp, id, node);
         }
         let failed = net_failed(&st);
         drop(st);
@@ -1131,8 +1095,7 @@ impl StreamWindow {
         bytes: usize,
         class: DataClass,
     ) {
-        let host = st.home_of[&key];
-        let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
+        let dir = st.directory.get_mut(&key).expect("declared");
         let (msg, producer) = match &mut dir.exec {
             Some(v) => {
                 if v.node == dest || !v.sent.insert(dest) {
@@ -1155,29 +1118,16 @@ impl StreamWindow {
 
     // ---- execution side ------------------------------------------------
 
-    /// Worker loop: pop the globally deepest ready task across the
-    /// per-node sub-windows, run it outside the lock, record the
-    /// completion. Returns when planning is done and the window has
-    /// drained.
+    /// Worker loop: pop the deepest ready task, run it outside the lock,
+    /// record the completion. Returns when planning is done and the
+    /// window has drained.
     pub(crate) fn worker_loop(&self, worker: usize) {
         loop {
-            let (id, node, kernel) = {
+            let (id, kernel) = {
                 let mut st = self.lock();
                 'wait: loop {
-                    let mut best: Option<(usize, super::priority::Ready)> = None;
-                    for (n, nw) in st.nodes.iter().enumerate() {
-                        if let Some(r) = nw.ready.peek() {
-                            if best.is_none_or(|(_, b)| *r > b) {
-                                best = Some((n, *r));
-                            }
-                        }
-                    }
-                    if let Some((n, _)) = best {
-                        let r = st.nodes[n].ready.pop().expect("peeked entry");
-                        let t = st.nodes[n]
-                            .live
-                            .get_mut(&r.id)
-                            .expect("ready task not live");
+                    if let Some(r) = st.ready.pop() {
+                        let t = st.live.get_mut(&r.id).expect("ready task not live");
                         let kernel = t
                             .kernel
                             .take()
@@ -1192,9 +1142,9 @@ impl StreamWindow {
                             // write cannot race a reader.
                             Self::apply_net_needs(&mut st, &needs);
                         }
-                        break 'wait (r.id, n, kernel);
+                        break 'wait (r.id, kernel);
                     }
-                    if (st.planning_done && st.live_nodes.is_empty()) || net_failed(&st) {
+                    if (st.planning_done && st.live.is_empty()) || net_failed(&st) {
                         return;
                     }
                     st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -1203,7 +1153,7 @@ impl StreamWindow {
             let t0 = self.epoch.elapsed().as_secs_f64();
             let result = kernel();
             let t1 = self.epoch.elapsed().as_secs_f64();
-            self.complete(id, node, result, worker, t0, t1);
+            self.complete(id, result, worker, t0, t1);
         }
     }
 
@@ -1229,21 +1179,13 @@ impl StreamWindow {
         }
     }
 
-    fn complete(
-        &self,
-        id: TaskId,
-        node: usize,
-        result: TaskResult,
-        worker: usize,
-        start_s: f64,
-        end_s: f64,
-    ) {
+    fn complete(&self, id: TaskId, result: TaskResult, worker: usize, start_s: f64, end_s: f64) {
         let mut st = self.lock();
-        let mut task = st.nodes[node]
+        let mut task = st
             .live
             .remove(&id)
             .unwrap_or_else(|| panic!("task {id} completed twice"));
-        st.live_nodes.remove(&id);
+        let node = task.node;
         st.tally.record(&result);
         if let Some(c) = &mut st.calib {
             c.record(task.step, node, &result);
@@ -1272,7 +1214,7 @@ impl StreamWindow {
             }
             st.live_tick += 1;
             if st.live_tick.is_multiple_of(64) {
-                let live = st.live_nodes.len() as f64;
+                let live = st.live.len() as f64;
                 st.probe
                     .gauge(metric::STREAM_LIVE_TASKS, Label::None, end_s, live);
             }
@@ -1299,8 +1241,7 @@ impl StreamWindow {
         for ca in &task.accesses {
             if matches!(ca.access, Access::Mut(_)) {
                 let key = ca.access.key();
-                let host = st.home_of[&key];
-                let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
+                let dir = st.directory.get_mut(&key).expect("declared");
                 if let Some(w) = &mut dir.hazard.writer {
                     if w.id == id {
                         w.meta.done = Some(result.executed);
@@ -1354,8 +1295,7 @@ impl StreamWindow {
                 if dest == node {
                     continue;
                 }
-                let host = st.home_of[&key];
-                let dir = st.nodes[host].directory.get_mut(&key).expect("declared");
+                let dir = st.directory.get_mut(&key).expect("declared");
                 let v = dir.exec.as_mut().expect("executed writer was promoted");
                 if v.sent.insert(dest) {
                     let msg = flow_msg(key, class, Some(id), node, dest, bytes);
@@ -1384,36 +1324,13 @@ impl StreamWindow {
             }
         }
 
-        // Release successors: local ones directly, remote ones by
-        // delivery into their node's sub-window.
-        let mut newly_ready = 0usize;
-        let release = |st: &mut WindowState, s: TaskId, snode: usize| {
-            let succ = st.nodes[snode]
-                .live
-                .get_mut(&s)
-                .expect("successor completed before predecessor");
-            debug_assert!(succ.preds_remaining >= 1, "dependency underflow");
-            succ.preds_remaining -= 1;
-            if succ.preds_remaining == 0 {
-                let cp = succ.cp;
-                st.nodes[snode].ready.push(cp, s, snode);
-                1
-            } else {
-                0
-            }
-        };
-        for s in task.local_succs {
-            newly_ready += release(&mut st, s, node);
-        }
-        for (s, snode) in task.remote_releases {
-            newly_ready += release(&mut st, s, snode);
-        }
+        let newly_ready = task.succs.iter().filter(|&&s| st.release(s)).count();
 
         let ev = st.ledger.on_completed(task.step, node);
         let reports: Vec<usize> = ev.node_drained.into_iter().collect();
         st.on_step_events(&reports, ev.retired, task.step, end_s);
 
-        let drained = st.planning_done && st.live_nodes.is_empty();
+        let drained = st.planning_done && st.live.is_empty();
         let has_net = st.net.is_some();
         let failed = net_failed(&st);
         drop(st);
@@ -1519,7 +1436,7 @@ impl StreamWindow {
                 // Legitimate only after this rank sent its Fin (it is
                 // fully drained and parked in `net_finish`); mid-run it is
                 // a peer's abort broadcast.
-                let premature = !st.planning_done || !st.live_nodes.is_empty();
+                let premature = !st.planning_done || !st.live.is_empty();
                 let net = st.net.as_mut().expect("checked above");
                 net.ctrl_recv += 1;
                 net.shutdown_seen = true;
@@ -1560,18 +1477,7 @@ impl StreamWindow {
             }
         }
         let waiters = net.waiters.remove(&(key, producer)).unwrap_or_default();
-        let mut newly_ready = 0;
-        for (id, node) in waiters {
-            let t = st.nodes[node].live.get_mut(&id).expect("waiter is live");
-            debug_assert!(t.preds_remaining >= 1, "arrival underflow");
-            t.preds_remaining -= 1;
-            if t.preds_remaining == 0 {
-                let cp = t.cp;
-                st.nodes[node].ready.push(cp, id, node);
-                newly_ready += 1;
-            }
-        }
-        newly_ready
+        waiters.into_iter().filter(|&id| st.release(id)).count()
     }
 
     /// Whether a receiver-side disconnect is the normal staggered teardown
@@ -1610,9 +1516,10 @@ impl StreamWindow {
     }
 
     /// After [`StreamWindow::wait_for_task`] on a decision task: block
-    /// until the decision *value* is in the local mirror. A locally
-    /// computed decision is already there; a remote one is applied from
-    /// its Sync/DecisionMsg frame the moment it arrives.
+    /// until the decision *value* is in the local mirror, or return the
+    /// run's error. A locally computed decision is already there; a
+    /// remote one is applied from its Sync/DecisionMsg frame the moment
+    /// it arrives.
     pub(crate) fn net_wait_decision(&self, id: TaskId) -> Result<(), TransportError> {
         let mut st = self.lock();
         let Some(net) = st.net.as_ref() else {
@@ -1621,13 +1528,15 @@ impl StreamWindow {
         let Some(&(key, local)) = net.pending_decisions.get(&id) else {
             return Ok(());
         };
-        if local {
-            return Ok(());
-        }
         loop {
             let net = st.net.as_mut().expect("net mode");
+            // Checked first: `wait_for_task` also returns on a failed run,
+            // possibly before a local decision task has run.
             if let Some(e) = &net.error {
                 return Err(e.clone());
+            }
+            if local {
+                return Ok(());
             }
             let arrived = match net.arrivals.get_mut(&(key, Some(id))) {
                 Some(slot @ Arrival::Bytes(_)) => {
@@ -1643,7 +1552,7 @@ impl StreamWindow {
                 if let Some(b) = bytes {
                     net.store_payload(key, &b);
                 }
-                return Ok(());
+                return net.error.clone().map_or(Ok(()), Err);
             }
             st = self.net_cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -1776,9 +1685,8 @@ impl StreamWindow {
         let net = st.net.as_mut().expect("net mode");
         let rank = net.rank;
         let mut owned: Vec<DataKey> = st
-            .nodes
+            .directory
             .iter()
-            .flat_map(|nw| nw.directory.iter())
             .filter(|(_, dir)| dir.exec.as_ref().is_some_and(|v| v.node == rank))
             .map(|(&key, _)| key)
             .collect();

@@ -1,5 +1,5 @@
-//! Distributed streaming demo: per-node windows composed with the
-//! platform communication model.
+//! Distributed streaming demo: a node-placed streaming window composed
+//! with the platform communication model.
 //!
 //! Phase 1 runs a moderate-size hybrid factorization three ways — batch,
 //! single-process streaming, and distributed streaming — and verifies the
